@@ -143,9 +143,8 @@ def cmd_gen(args) -> int:
 
 def cmd_dcset(args) -> int:
     a = f2n.read_set(args.input)
-    report = correlation.dc_threshold_report(a, args.c)
-    print(report.describe())
     ac = correlation.autocorrelation(a)
+    print(ac.threshold_report(args.c).describe())
     if args.out:
         f2n.write_set(ac.popular_set(args.c), args.out)
         print(f"wrote {args.out}")

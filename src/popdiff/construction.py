@@ -37,10 +37,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import numpy as np
 
 from .correlation import autocorrelation, popular_difference_set
-from .f2n import DenseSet, _check_dim, f2set_loads, f2set_dumps, make_set, set_sha256, sumset
+from .f2n import (
+    DenseSet,
+    _check_dim,
+    f2set_dumps,
+    f2set_loads,
+    make_set,
+    set_sha256,
+    sumset,
+    xor_member_counts,
+)
 from .rng import SplitMix64
 
 DEFAULT_TRIALS = 200
@@ -356,23 +364,6 @@ def find_lemma_set(
     raise RetryExhausted("lemma", max_trials, best_deficit)
 
 
-def _pair_count(points: np.ndarray, member_bits: np.ndarray, chunk: int = 512) -> int:
-    """#{(x, y) in points^2 : x XOR y is a member}, in row blocks."""
-    total = 0
-    for i in range(0, len(points), chunk):
-        block = points[i : i + chunk, None] ^ points[None, :]
-        total += int(member_bits[block].sum())
-    return total
-
-
-def _per_point_counts(points: np.ndarray, member_bits: np.ndarray, chunk: int = 512) -> np.ndarray:
-    counts = np.empty(len(points), dtype=np.int64)
-    for i in range(0, len(points), chunk):
-        block = points[i : i + chunk, None] ^ points[None, :]
-        counts[i : i + chunk] = member_bits[block].sum(axis=1)
-    return counts
-
-
 @dataclass(frozen=True)
 class RefineStage:
     a1: DenseSet
@@ -390,8 +381,7 @@ def refine_a1(
     """Uniform m-subset of A_0, resampled until almost all pair sums are
     popular: sd * pairs >= (sd - 2 sn) * m^2, checked exactly.
 
-    The pair count is a direct O(m^2) scan; m = floor(1/sigma / 4) is
-    small by construction, so no transform is warranted here.
+    The pair count is a direct O(m^2) scan in row blocks.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -405,7 +395,7 @@ def refine_a1(
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
         chosen = pts[rng.sample(len(pts), m)]
-        pairs = _pair_count(chosen, d.bits)
+        pairs = int(xor_member_counts(chosen, d.bits).sum())
         if pairs * sd >= plan.pair_rhs:
             return RefineStage(make_set(a0.n, chosen), pairs, trial)
         deficit = plan.pair_rhs - pairs * sd
@@ -429,10 +419,11 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     if 3 * sn * m >= sd:
         raise PlanInfeasible("3 * sigma * |A_1| must stay below 1")
-    counts = _per_point_counts(pts, d.bits)
+    counts = xor_member_counts(pts, d.bits)
     keep = counts * sd >= plan.filter_rhs
     kept = pts[keep]
-    if kept.size and not d.bits[kept[:, None] ^ pts[None, :]].all():
+    # counts[x] == m says that x + y lies in D for every y in A_1
+    if not (counts[keep] == m).all():
         raise SoundnessError("a filtered point fails the literal x + A_1 inclusion")
     if len(kept) < (m + 1) // 2:
         raise SoundnessError("|A_2| fell below ceil(|A_1| / 2)")
@@ -694,8 +685,13 @@ def construct_popular_sumset(
         raise ValueError(
             f"c = {c} exceeds 1/2; pass exploratory=True to run anyway"
         )
+    return _run_pipeline(a, c, seed, budgets, popular_difference_set(a, c))
 
-    d = popular_difference_set(a, c)
+
+def _run_pipeline(
+    a: DenseSet, c: Fraction, seed: int, budgets: Budgets, d: DenseSet
+) -> Certificate:
+    """The construction after argument checks, given d = D_c(A)."""
     plan = choose_sigma(a.n, a.card, c)
     rng = SplitMix64(seed)
 
@@ -791,10 +787,10 @@ def verify_certificate(cert: Certificate) -> None:
                 "lemma-soundness", "stage sets are not nested"
             )
 
+    # the plan check above already enforced what construct_popular_sumset
+    # checks of its arguments (|A| >= 1 and 0 < c < 1)
     try:
-        replay = construct_popular_sumset(
-            a, cert.c, cert.seed, cert.budgets, exploratory=True
-        )
+        replay = _run_pipeline(a, Fraction(cert.c), cert.seed, cert.budgets, d)
     except (RetryExhausted, DegenerateInput, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
     if replay.dumps() != cert.dumps():

@@ -71,6 +71,20 @@ class Autocorrelation:
         card = self.card
         return Fraction(c.numerator * card * card, c.denominator << self.n)
 
+    def threshold_report(self, c: Fraction | int) -> "DcReport":
+        """Exact summary of D_c(A) and the count threshold deciding it."""
+        c = Fraction(c)
+        thr = self.count_threshold(c)
+        return DcReport(
+            n=self.n,
+            c=c,
+            alpha=Fraction(self.card, self.size),
+            card_a=self.card,
+            card_d=self.popular_set(c).card,
+            count_threshold=thr,
+            min_count=int(thr) + 1,
+        )
+
     def write_csv(self, path) -> None:
         lines = ["x,count"]
         lines.extend(f"{x},{int(v)}" for x, v in enumerate(self.counts))
@@ -122,16 +136,4 @@ class DcReport:
 
 
 def dc_threshold_report(a: DenseSet, c: Fraction | int) -> DcReport:
-    c = Fraction(c)
-    ac = autocorrelation(a)
-    d = ac.popular_set(c)
-    thr = ac.count_threshold(c)
-    return DcReport(
-        n=a.n,
-        c=c,
-        alpha=a.density,
-        card_a=a.card,
-        card_d=d.card,
-        count_threshold=thr,
-        min_count=int(thr) + 1,
-    )
+    return autocorrelation(a).threshold_report(c)

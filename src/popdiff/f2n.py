@@ -24,6 +24,8 @@ from .rng import SplitMix64
 
 MAX_DIM = 30
 
+_XOR_BLOCK_ROWS = 512  # rows per pairwise-XOR gather in xor_member_counts
+
 _F2SET_HEADER = re.compile(r"^F2SET v1 n=([0-9]+)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_VALUES = np.full(256, 255, dtype=np.uint8)
@@ -216,6 +218,20 @@ def sumset(a: DenseSet, b: DenseSet, method: str = "auto") -> DenseSet:
         for i in range(0, pa.size, step):
             out[pa[i : i + step, None] ^ pb[None, :]] = 1
     return DenseSet._wrap(a.n, out)
+
+
+def xor_member_counts(points: np.ndarray, member_bits: np.ndarray) -> np.ndarray:
+    """counts[i] = #{y in points : points[i] XOR y is a member}, as int64.
+
+    ``member_bits`` is a 0/1 membership vector of length 2^n.  The
+    pairwise XORs are gathered in blocks of 512 rows, which caps the
+    temporary at 512 * len(points) indices.
+    """
+    counts = np.empty(len(points), dtype=np.int64)
+    for i in range(0, len(points), _XOR_BLOCK_ROWS):
+        block = points[i : i + _XOR_BLOCK_ROWS, None] ^ points[None, :]
+        counts[i : i + _XOR_BLOCK_ROWS] = member_bits[block].sum(axis=1)
+    return counts
 
 
 def linear_subspace(n: int, basis) -> DenseSet:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2n import DenseSet, _check_point
+from .f2n import DenseSet, linear_subspace, xor_member_counts
 
 SEARCH_DIM_CAP = 22  # CLI refuses exact search above this dimension
 
@@ -49,11 +49,7 @@ class SubspaceBasis:
         return 1 << self.dim
 
     def span_points(self) -> list[int]:
-        span = [0]
-        for b in self.vectors:
-            span.extend([s ^ b for s in span])
-        span.sort()
-        return span
+        return linear_subspace(self.n, self.vectors).point_list()
 
 
 @dataclass(frozen=True)
@@ -119,12 +115,9 @@ def _dfs_extract(bits: np.ndarray, cands: np.ndarray, span: np.ndarray, basis: l
     return None
 
 
-def _degree_order(bits: np.ndarray, cands: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _degree_order(bits: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Sort candidates by how many other candidates they pair with in D."""
-    deg = np.empty(len(cands), dtype=np.int64)
-    for i in range(0, len(cands), chunk):
-        block = cands[i : i + chunk, None] ^ cands[None, :]
-        deg[i : i + chunk] = bits[block].sum(axis=1)
+    deg = xor_member_counts(cands, bits)
     return cands[np.lexsort((cands, -deg))]
 
 
@@ -199,12 +192,4 @@ def max_subspace_in(d: DenseSet, degree_order: bool = True) -> MaxSubspaceResult
 
 def is_subspace_subset(d: DenseSet, vectors) -> bool:
     """Whether the span of ``vectors`` lies entirely inside ``d``."""
-    span = [0]
-    member = {0}
-    for b in vectors:
-        b = _check_point(d.n, b)
-        if b not in member:
-            new = [s ^ b for s in span]
-            span.extend(new)
-            member.update(new)
-    return bool(d.bits[np.asarray(span, dtype=np.int64)].all())
+    return linear_subspace(d.n, vectors).subset_of(d)

@@ -1,21 +1,21 @@
 """Exact Walsh-Hadamard machinery for XOR convolution counts.
 
-All arithmetic is integer-exact.  For a 0/1 indicator of length 2^n the
-forward transform keeps every intermediate within |v| <= 2^n and the
-pointwise product of two spectra within 4^n, both safe in int64 up to
-n = 30.  The inverse pass is the risky one: after k butterfly stages a
-value can reach 2^k * 4^n <= 8^n, which exceeds signed 64-bit range for
-n >= 21.  Past INT64_SAFE_MAX_N the spectrum is therefore split into two
-30-bit limbs, each transformed in int64, and recombined with Python
-integers before the final exact division by 2^n.
+All arithmetic is integer-exact in int64 for every n <= 30.  For a 0/1
+indicator of length 2^n the forward transform keeps every intermediate
+within |v| <= 2^n and the pointwise product of two spectra within 4^n.
+Every intermediate of the inverse pass is a signed sum of a subset of the
+spectrum entries F_A(xi) F_B(xi), so by Cauchy-Schwarz and Parseval
+(sum of F_A(xi)^2 = 2^n |A|) it is bounded by
+
+    sum |F_A F_B| <= 2^n sqrt(|A| |B|) <= 4^n <= 2^60,
+
+well inside signed 64-bit range.  The final division by 2^n is exact and
+is asserted, together with the sign of every count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-INT64_SAFE_MAX_N = 20  # inverse-pass intermediates bounded by 8^n < 2^63
-_LIMB_BITS = 30
 
 
 def fwht_inplace(a: np.ndarray) -> None:
@@ -35,30 +35,6 @@ def fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def _exact_scaled_inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Return WHT(spectrum) / 2^n for an int64 spectrum with |v| <= 4^n.
-
-    The result is known to be a vector of non-negative counts; both the
-    divisibility by 2^n and the sign are asserted.
-    """
-    if n <= INT64_SAFE_MAX_N:
-        work = spectrum.copy()
-        fwht_inplace(work)
-        if (work & ((1 << n) - 1)).any() or (work < 0).any():
-            raise AssertionError("inverse transform produced a non-count vector")
-        return work >> n
-    # Two's-complement limb split: spectrum = hi * 2^30 + lo with 0 <= lo < 2^30.
-    # |hi| <= 2^(2n-30) + 1, so each limb transform stays within 2^n * 2^30 <= 2^60.
-    lo = spectrum & ((1 << _LIMB_BITS) - 1)
-    hi = spectrum >> _LIMB_BITS
-    fwht_inplace(lo)
-    fwht_inplace(hi)
-    scaled = hi.astype(object) * (1 << _LIMB_BITS) + lo.astype(object)
-    if (scaled & ((1 << n) - 1)).any() or (scaled < 0).any():
-        raise AssertionError("inverse transform produced a non-count vector")
-    return (scaled >> n).astype(np.int64)
-
-
 def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.ndarray:
     """Exact pair counts N(x) = #{(a, b) in A x B : a XOR b = x}.
 
@@ -72,11 +48,15 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     fa = ind_a.astype(np.int64)
     fwht_inplace(fa)
     if ind_b is None:
-        spectrum = fa * fa
+        fa *= fa
     else:
         if len(ind_b) != size:
             raise ValueError("indicator lengths differ")
         fb = ind_b.astype(np.int64)
         fwht_inplace(fb)
-        spectrum = fa * fb
-    return _exact_scaled_inverse(spectrum, n)
+        fa *= fb
+        del fb
+    fwht_inplace(fa)  # the inverse, up to the factor 2^n
+    if (fa & (size - 1)).any() or (fa < 0).any():
+        raise AssertionError("inverse transform produced a non-count vector")
+    return fa >> n

@@ -59,6 +59,40 @@ def brute_counts(a: DenseSet) -> np.ndarray:
     return counts
 
 
+def _wht(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, one butterfly stage at a time."""
+    h = 1
+    while h < len(v):
+        pairs = v.reshape(-1, 2, h)
+        v = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return v
+
+
+def limb_xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.ndarray:
+    """Pair counts by a two-limb inverse transform that never leaves int64
+    range by construction, recombined in Python integers.
+
+    The spectrum is split as hi * 2^30 + lo with 0 <= lo < 2^30, so each
+    limb transform stays within 2^n * 2^30 for any spectrum bounded by
+    4^n; the limbs are joined with exact Python integers before the
+    division by 2^n.  Reference for the plain int64 inverse.
+    """
+    n = len(ind_a).bit_length() - 1
+    fa = _wht(ind_a.astype(np.int64))
+    fb = fa if ind_b is None else _wht(ind_b.astype(np.int64))
+    spectrum = fa * fb
+    lo = _wht(spectrum & ((1 << 30) - 1))
+    hi = _wht(spectrum >> 30)
+    counts = np.empty(len(spectrum), dtype=np.int64)
+    step = 1 << 16  # bounds the object-dtype temporaries
+    for i in range(0, len(spectrum), step):
+        scaled = hi[i : i + step].astype(object) * (1 << 30) + lo[i : i + step].astype(object)
+        assert not (scaled & ((1 << n) - 1)).any() and not (scaled < 0).any()
+        counts[i : i + step] = (scaled >> n).astype(np.int64)
+    return counts
+
+
 def set_from_mask(n: int, mask: int) -> DenseSet:
     bits = np.zeros(1 << n, dtype=np.uint8)
     for i in range(1 << n):

@@ -22,7 +22,7 @@ from popdiff.f2n import (
 )
 from popdiff.rng import SplitMix64
 
-from conftest import brute_counts, set_from_mask
+from conftest import brute_counts, limb_xor_pair_counts, set_from_mask
 
 
 def test_counts_small_example():
@@ -97,12 +97,30 @@ def test_translation_invariance():
         )
 
 
-def test_split_inverse_path_matches_int64_path(monkeypatch):
-    rng = SplitMix64(99)
-    a = random_set(9, 200, rng)
-    expected = walsh.xor_pair_counts(a.bits)
-    monkeypatch.setattr(walsh, "INT64_SAFE_MAX_N", 0)
-    assert np.array_equal(walsh.xor_pair_counts(a.bits), expected)
+def test_int64_inverse_matches_limb_reference_at_n21():
+    # dense alpha = 1/2 sets at n = 21: the crude bound 2^n * 4^n on the
+    # inverse intermediates exceeds int64 here, the Parseval bound 4^n does not
+    n = 21
+    size = 1 << n
+    gen = np.random.default_rng(21)
+    ind_a, ind_b = np.zeros((2, size), dtype=np.uint8)
+    ind_a[gen.permutation(size)[: size // 2]] = 1
+    ind_b[gen.permutation(size)[: size // 2]] = 1
+    card = size // 2
+
+    spectrum = ind_a.astype(np.int64)
+    walsh.fwht_inplace(spectrum)
+    assert int((spectrum * spectrum).sum()) == size * card  # Parseval
+
+    counts = walsh.xor_pair_counts(ind_a)
+    assert np.array_equal(counts, limb_xor_pair_counts(ind_a))
+    assert counts[0] == card
+    assert int(counts.sum()) == card * card
+
+    cross = walsh.xor_pair_counts(ind_a, ind_b)
+    assert np.array_equal(cross, limb_xor_pair_counts(ind_a, ind_b))
+    assert cross[0] == int((ind_a & ind_b).sum())
+    assert int(cross.sum()) == card * card
 
 
 def test_popular_set_small_example():

@@ -17,6 +17,7 @@ from popdiff.f2n import (
     set_sha256,
     sumset,
     write_set,
+    xor_member_counts,
 )
 from popdiff.rng import SplitMix64
 
@@ -118,6 +119,27 @@ def test_sumset_routes_agree_random_n10():
         a = random_set(10, rng.below(1025), rng)
         b = random_set(10, rng.below(1025), rng)
         assert sumset(a, b, "naive") == sumset(a, b, "fwht")
+
+
+def test_xor_member_counts_matches_double_loop():
+    rng = SplitMix64(41)
+    for n in range(1, 7):
+        member = random_set(n, rng.below((1 << n) + 1), rng)
+        for k in (0, 1, rng.below((1 << n) + 1)):
+            pts = np.asarray(rng.sample(1 << n, k), dtype=np.int64)
+            expected = [sum(int(member.bits[x ^ y]) for y in pts) for x in pts]
+            got = xor_member_counts(pts, member.bits)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+
+
+def test_xor_member_counts_matches_unblocked_gather():
+    # 1100 rows: two full 512-row blocks and a partial one
+    rng = SplitMix64(43)
+    member = random_set(12, 2048, rng)
+    pts = np.asarray(rng.sample(1 << 12, 1100), dtype=np.int64)[::-1].copy()
+    expected = member.bits[pts[:, None] ^ pts[None, :]].sum(axis=1)
+    assert np.array_equal(xor_member_counts(pts, member.bits), expected)
 
 
 def test_linear_subspace_examples():
