@@ -50,6 +50,13 @@ def rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
 
 
+def seed64(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _rational_list(text: str) -> list[Fraction]:
     return [rational(part) for part in text.split(",")]
 
@@ -67,7 +74,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--family", choices=["random", "subspace", "niveau"], required=True)
     g.add_argument("--card", type=int, help="cardinality (random family)")
     g.add_argument("--alpha", type=rational, help="density, alternative to --card")
-    g.add_argument("--seed", type=int, default=0, help="seed (random family)")
+    g.add_argument("--seed", type=seed64, default=0, help="seed (random family)")
     g.add_argument("--dim", type=int, help="dimension (subspace family)")
     g.add_argument("--wmin", type=int, help="weight threshold (niveau family)")
     g.add_argument("--out", required=True)
@@ -81,7 +88,7 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("construct", help="build a certified A' with A'+A' inside D_c(A)")
     c.add_argument("input", help="F2SET file holding A")
     c.add_argument("--c", type=rational, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=seed64, required=True)
     c.add_argument("--out", required=True, help="certificate path (JSON)")
     c.add_argument("--lemma-trials", type=int, default=construction.DEFAULT_TRIALS)
     c.add_argument("--refine-trials", type=int, default=construction.DEFAULT_TRIALS)
@@ -186,6 +193,10 @@ def cmd_verify(args) -> int:
         cert = Certificate.from_json_obj(obj)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"verification check 'schema' failed: {exc}", file=sys.stderr)
+        return 3
+    if text != cert.dumps():
+        print("verification check 'schema' failed: the file is not the canonical "
+              "serialization of the certificate it holds", file=sys.stderr)
         return 3
     try:
         construction.verify_certificate(cert)

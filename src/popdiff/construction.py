@@ -614,6 +614,9 @@ class Certificate:
         )
         if plan.to_json_obj() != plan_obj:
             raise ValueError("stored plan thresholds do not match the plan parameters")
+        seed = obj["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         stats_obj = obj["stats"]
         a0 = _set_from_payload(n, obj["a0"])
         a1 = _set_from_payload(n, obj["a1"])
@@ -627,7 +630,7 @@ class Certificate:
         return cls(
             input_set=input_set,
             c=c,
-            seed=int(obj["seed"]),
+            seed=seed,
             budgets=Budgets(
                 lemma_trials=int(obj["budgets"]["lemma_trials"]),
                 refine_trials=int(obj["budgets"]["refine_trials"]),

@@ -160,10 +160,11 @@ class DenseSet:
 
 
 def make_set(n: int, points) -> DenseSet:
-    """Set containing exactly the listed points (duplicates collapse)."""
+    """Set containing exactly the given points (an array or a sequence of
+    indices; duplicates collapse)."""
     n = _check_dim(n)
     out = DenseSet(n)
-    pts = np.asarray(list(points), dtype=np.int64)
+    pts = np.asarray(points, dtype=np.int64)
     if pts.size:
         if pts.min() < 0 or pts.max() >= (1 << n):
             raise ValueError(f"point index out of range for n={n}")

@@ -6,18 +6,33 @@ the minimum of its coset modulo the span of the earlier vectors.  That
 chain coincides with the reduced-echelon basis (pivots at the highest set
 bits), so equal subspaces always surface with equal bases.
 
-A vector v extends the current span only if the whole coset v + span lies
-in the target set, checked by scanning the 2^|B| coset sums.  Pruning is
-two-fold and never affects correctness: the global cap dim <= log2 |D|,
-and the subtree cap dim <= depth + floor(log2(#candidates + 1)), valid
-because every nonzero coset of a subtree subspace has its minimum
-representative in the candidate list.
+Each node of the search holds, for the chain B built so far:
 
-Candidate order is a performance heuristic only (by default, vectors that
-pair with many other candidates inside D go first).  The reported basis is
-always the lexicographically least one among the maximum-dimension
-subspaces, extracted by a second pass in ascending order when the first
-pass was reordered.
+* T = {x : x + span(B) inside D}, as a sorted point array, starting from
+  D itself.  Extending B by v gives T' = {x in T : x + v in T}.  One
+  int8 array over [0, 2^n) holds the T of every node on the current
+  path (x lies in the T at depth k iff its level is >= k), so each
+  membership test is one gather.
+* A vector is the minimum of its coset modulo span(B) exactly when it is
+  0 at every pivot of B (the pivot of b_i is its top bit).  The
+  candidates are those coset minima in T above the last vector, so the
+  children of v are the later candidates that are 0 at v's pivot, lie at
+  positions >= 2^(pivot+1), and move into T when v is added.
+
+The work at a node grows with |T| and its candidates, never with 2^n, so
+sparse sets stay cheap at large n.
+
+Pruning never affects correctness: the global cap dim <= log2 |D| (with
+the hyperplane shortcut for near-full sets), and the subtree cap
+dim <= depth + floor(log2(#candidates + 1)), valid because every nonzero
+coset of a subtree subspace has its minimum in the candidate set.  The
+children of every v with one pivot lie among the later candidates that
+are 0 at that pivot, so the cap is first tried on that set, once per
+pivot, and then on the exact children, found for a block of v at a time.
+
+The depth-first search visits chains in ascending lexicographic order,
+so the first chain reaching the best dimension is the lexicographically
+least basis among all maximum-dimension subspaces.
 """
 
 from __future__ import annotations
@@ -26,11 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2n import DenseSet, linear_subspace, xor_member_counts
+from .f2n import DenseSet, linear_subspace
 
 SEARCH_DIM_CAP = 22  # CLI refuses exact search above this dimension
-
-_DEGREE_ORDER_MAX = 8192  # above this many root candidates, skip the heuristic
 
 
 @dataclass(frozen=True)
@@ -66,59 +79,51 @@ class _Stop(Exception):
     """Best possible dimension reached; unwind the whole search."""
 
 
-def _filter_candidates(bits: np.ndarray, cands: np.ndarray, v: int, span: np.ndarray) -> np.ndarray:
-    """Candidates that survive extending ``span`` by ``v``.
+_BLOCK = 1 << 16  # gathers per child-test block in _search; bounds its temporaries
 
-    A survivor w must exceed v, keep its new half-coset w ^ v ^ span inside
-    the set, and stay the minimum of its enlarged coset.
+
+def _search(t: np.ndarray, cands: np.ndarray, level: np.ndarray, basis: list[int], state: dict) -> None:
+    """Depth-first over canonical chains extending ``basis``.
+
+    ``cands`` are the vectors that may extend the chain, ascending, and
+    ``t`` is the T of the parent node: most nodes are leaves, so a node
+    narrows it to its own T only when it has candidates to try.
     """
-    rest = cands[cands > v]
-    if not rest.size:
-        return rest
-    half = rest[:, None] ^ v ^ span[None, :]
-    ok = bits[half].all(axis=1) & (half.min(axis=1) > rest)
-    return rest[ok]
-
-
-def _dfs_best(bits: np.ndarray, cands: np.ndarray, span: np.ndarray, basis: list[int], state: dict) -> None:
     depth = len(basis)
     if depth > state["best_dim"]:
         state["best_dim"] = depth
         state["best_basis"] = tuple(basis)
         if depth >= state["dim_cap"]:
             raise _Stop
-    for v in cands:
-        v = int(v)
-        child = _filter_candidates(bits, cands, v, span)
-        if depth + 1 + (len(child) + 1).bit_length() - 1 <= state["best_dim"]:
-            continue  # subtree cannot exceed the best found
-        basis.append(v)
-        _dfs_best(bits, child, np.concatenate([span, span ^ v]), basis, state)
-        basis.pop()
-
-
-def _dfs_extract(bits: np.ndarray, cands: np.ndarray, span: np.ndarray, basis: list[int], target: int) -> tuple[int, ...] | None:
-    """First depth-``target`` chain in ascending order: the lex-least basis."""
-    depth = len(basis)
-    if depth == target:
-        return tuple(basis)
-    for v in cands:
-        v = int(v)
-        child = _filter_candidates(bits, cands, v, span)
-        if depth + 1 + (len(child) + 1).bit_length() - 1 < target:
-            continue  # subtree cannot reach the target dimension
-        basis.append(v)
-        found = _dfs_extract(bits, child, np.concatenate([span, span ^ v]), basis, target)
-        if found is not None:
-            return found
-        basis.pop()
-    return None
-
-
-def _degree_order(bits: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Sort candidates by how many other candidates they pair with in D."""
-    deg = xor_member_counts(cands, bits)
-    return cands[np.lexsort((cands, -deg))]
+    if not len(cands):
+        return
+    if depth:
+        t = t[level[t ^ basis[-1]] >= depth - 1]
+        level[t] = depth
+    start = 0
+    while start < len(cands):
+        pivot = int(cands[start]).bit_length() - 1
+        end = int(cands.searchsorted(2 << pivot))
+        if depth + (len(cands) - end + 1).bit_length() <= state["best_dim"]:
+            break  # no v from here on has enough later candidates
+        group, rest = cands[start:end], cands[end:]
+        start = end
+        rest = rest[(rest >> pivot & 1) == 0]
+        bound = (len(rest) + 1).bit_length()
+        step = max(1, _BLOCK // max(1, len(rest)))
+        for lo in range(0, len(group), step):
+            if depth + bound <= state["best_dim"]:
+                break  # subtree cannot exceed the best found, for any v left in the group
+            block = group[lo : lo + step]
+            inside = level[rest ^ block[:, None]] >= depth  # row i: the children of block[i]
+            for v, row, size in zip(block.tolist(), inside, inside.sum(axis=1).tolist()):
+                if depth + (size + 1).bit_length() <= state["best_dim"]:
+                    continue  # subtree cannot exceed the best found
+                basis.append(v)
+                _search(t, rest[row], level, basis, state)
+                basis.pop()
+    if depth:
+        level[t] = depth - 1
 
 
 def _hyperplane_avoids_all(n: int, missing: np.ndarray) -> bool:
@@ -149,7 +154,7 @@ def _hyperplane_avoids_all(n: int, missing: np.ndarray) -> bool:
     return not bool((aug[:, :n].any(axis=1) == 0)[aug[:, n] == 1].any())
 
 
-def max_subspace_in(d: DenseSet, degree_order: bool = True) -> MaxSubspaceResult:
+def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
     """A maximum-cardinality linear subspace contained in ``d``, exactly.
 
     If 0 is missing from the set no subspace fits at all; the result is
@@ -160,34 +165,26 @@ def max_subspace_in(d: DenseSet, degree_order: bool = True) -> MaxSubspaceResult
     bits = d.bits
     if not bits[0]:
         return MaxSubspaceResult(SubspaceBasis(d.n, ()), zero_in_set=False)
-    cands = d.points()
-    cands = cands[cands != 0]
     dim_cap = d.card.bit_length() - 1  # 2^dim <= |D| always
-    missing = np.flatnonzero(bits == 0).astype(np.int64)
-    if missing.size:
+    if dim_cap >= d.n - 1:
         # near-full sets: one linear solve decides whether dimension n-1
         # is attainable, which is what otherwise forces a huge refutation
-        dim_cap = min(dim_cap, d.n - 1 if _hyperplane_avoids_all(d.n, missing) else d.n - 2)
+        # (below half density the cap is already at most n-2)
+        missing = np.flatnonzero(bits == 0).astype(np.int64)
+        if missing.size:
+            dim_cap = min(dim_cap, d.n - 1 if _hyperplane_avoids_all(d.n, missing) else d.n - 2)
     state = {
         "best_dim": 0,
         "best_basis": (),
         "dim_cap": dim_cap,
     }
-    use_heuristic = degree_order and 0 < len(cands) <= _DEGREE_ORDER_MAX
-    first_pass = _degree_order(bits, cands) if use_heuristic else cands
-    root_span = np.zeros(1, dtype=np.int64)
+    points = d.points()
+    level = bits.astype(np.int8) - 1  # members of D at level 0, the rest at -1
     try:
-        _dfs_best(bits, first_pass, root_span, [], state)
+        _search(points, points[1:], level, [], state)
     except _Stop:
         pass
-    best_dim = state["best_dim"]
-    if use_heuristic and best_dim > 0:
-        basis = _dfs_extract(bits, cands, root_span, [], best_dim)
-        if basis is None:
-            raise AssertionError("extraction pass lost a dimension the search proved")
-    else:
-        basis = state["best_basis"]
-    return MaxSubspaceResult(SubspaceBasis(d.n, tuple(basis)), zero_in_set=True)
+    return MaxSubspaceResult(SubspaceBasis(d.n, state["best_basis"]), zero_in_set=True)
 
 
 def is_subspace_subset(d: DenseSet, vectors) -> bool:

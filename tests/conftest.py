@@ -107,3 +107,60 @@ def subspaces_n4() -> list[tuple[int, ...]]:
     # self-check the oracle against the counting formula
     assert len(subs) == sum(gaussian_binomial(4, k) for k in range(5))
     return subs
+
+
+def reference_sample(rng, universe: int, k: int) -> list[int]:
+    """Uniform k-subset of range(universe) by the scalar partial
+    Fisher-Yates loop, one ``below`` call per step, with the touched
+    slots held in a dict.  Reference for the vectorized ``sample``."""
+    if not 0 <= k <= universe:
+        raise ValueError(f"cannot sample {k} items from {universe}")
+    swapped: dict[int, int] = {}
+    picked = []
+    for i in range(k):
+        j = i + rng.below(universe - i)
+        picked.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    picked.sort()
+    return picked
+
+
+def _filter_candidates(bits: np.ndarray, cands: np.ndarray, v: int, span: np.ndarray) -> np.ndarray:
+    """Candidates that survive extending ``span`` by ``v``: w > v whose
+    half-coset w ^ v ^ span lies in the set and stays above w."""
+    rest = cands[cands > v]
+    if not rest.size:
+        return rest
+    half = rest[:, None] ^ v ^ span[None, :]
+    ok = bits[half].all(axis=1) & (half.min(axis=1) > rest)
+    return rest[ok]
+
+
+def reference_max_subspace(d: DenseSet) -> tuple[int, ...]:
+    """Lex-least basis of a maximum-dimension subspace inside ``d`` (0
+    must be a member), by a depth-first search over canonical chains
+    that gathers every coset explicitly from an index array of the span.
+    Reference for the bitset search."""
+    bits = d.bits
+    assert bits[0], "0 must be in the set"
+    best = {"dim": 0, "basis": ()}
+    dim_cap = d.card.bit_length() - 1
+
+    def dfs(cands, span, basis):
+        depth = len(basis)
+        if depth > best["dim"]:
+            best["dim"], best["basis"] = depth, tuple(basis)
+        if best["dim"] == dim_cap:
+            return
+        for v in cands:
+            v = int(v)
+            child = _filter_candidates(bits, cands, v, span)
+            if depth + 1 + (len(child) + 1).bit_length() - 1 <= best["dim"]:
+                continue  # subtree cannot exceed the best found
+            basis.append(v)
+            dfs(child, np.concatenate([span, span ^ v]), basis)
+            basis.pop()
+
+    cands = d.points()
+    dfs(cands[cands != 0], np.zeros(1, dtype=np.int64), [])
+    return best["basis"]

@@ -125,6 +125,45 @@ def test_verify_tampered_exit_three(small_cert, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: _canonical({**obj, "seed": obj["seed"] + 2**64}),
+        lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+        lambda obj: _canonical({**obj, "c": "0.125"}),
+        lambda obj: _canonical({**obj, "c": 0.125}),
+        lambda obj: _canonical({**obj, "c": " 1/8 "}),
+        lambda obj: _canonical({**obj, "n": float(obj["n"])}),
+        lambda obj: _canonical({**obj, "comment": "unknown field"}),
+    ],
+    ids=["seed_plus_2_64", "compact_json", "c_decimal_string", "c_json_float",
+         "c_padded", "n_float", "extra_field"],
+)
+def test_verify_rejects_non_canonical_certificates(small_cert, tmp_path, capsys, edit):
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(json.loads(small_cert.read_text())))
+    assert bad.read_text() != small_cert.read_text()
+    assert run("verify", str(bad)) == 3
+    assert "schema" in capsys.readouterr().err
+
+
+def test_seed_outside_64_bits_is_a_usage_error(small_cert, tmp_path):
+    a_path = tmp_path / "A.set"
+    for seed in ("-1", str(2**64)):
+        assert run("gen", "--n", "4", "--family", "random", "--card", "8",
+                   "--seed", seed, "--out", str(a_path)) == 1
+    assert run("gen", "--n", "4", "--family", "random", "--card", "8",
+               "--seed", str(2**64 - 1), "--out", str(a_path)) == 0
+    for seed in ("-1", str(2**64)):
+        assert run("construct", str(a_path), "--c", "1/4", "--seed", seed,
+                   "--out", str(tmp_path / "c.json")) == 1
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_verify_point_addition_exit_three(small_cert, tmp_path):
     obj = json.loads(small_cert.read_text())
     a2 = f2set_loads(f"F2SET v1 n={obj['n']}\n{obj['a2']}\n")

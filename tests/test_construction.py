@@ -449,6 +449,16 @@ def test_certificate_schema_rejects_inconsistent_fields():
             Certificate.from_json_obj(_tampered_obj(cert, mutate))
 
 
+def test_certificate_seed_must_be_a_64_bit_integer():
+    a = random_set(12, 2048, SplitMix64(4))
+    cert = construct_popular_sumset(a, Fraction(1, 8), seed=1)
+    for seed in (-1, 2**64, 1.0, "1", True, None):
+        with pytest.raises(ValueError):
+            Certificate.from_json_obj(_tampered_obj(cert, lambda o: o.update(seed=seed)))
+    top = Certificate.from_json_obj(_tampered_obj(cert, lambda o: o.update(seed=2**64 - 1)))
+    assert top.seed == 2**64 - 1
+
+
 def test_verify_catches_containment_break():
     v = linear_subspace(10, [1 << i for i in range(9)])
     cert = construct_popular_sumset(v, Fraction(1, 2), seed=0)

@@ -10,7 +10,7 @@ from popdiff.f2n import DenseSet, full_set, linear_subspace, make_set, random_se
 from popdiff.rng import SplitMix64
 from popdiff.subspace import is_subspace_subset, max_subspace_in
 
-from conftest import all_subspaces, gaussian_binomial, set_from_mask
+from conftest import all_subspaces, gaussian_binomial, reference_max_subspace, set_from_mask
 
 
 def echelon_reduce(vectors):
@@ -96,15 +96,23 @@ def test_basis_is_canonical_and_lex_least(subspaces_n4):
         assert echelon_reduce(got.basis.vectors) == got.basis.vectors
 
 
-def test_heuristic_order_does_not_change_the_answer():
+def test_matches_reference_search():
     rng = SplitMix64(14)
-    for _ in range(100):
-        d = random_set(6, 1 + rng.below(64), rng)
-        if 0 not in d:
-            d = d.union(make_set(6, [0]))
-        a = max_subspace_in(d, degree_order=True)
-        b = max_subspace_in(d, degree_order=False)
-        assert (a.dim, a.basis.vectors) == (b.dim, b.basis.vectors)
+    for n in (6, 7, 8, 9):
+        for _ in range(25):
+            # every cardinality up to the full group at n = 6, 7 (the dim cap
+            # and the hyperplane shortcut); up to density 3/4 at n = 8, 9,
+            # where denser sets take the reference minutes
+            most = 1 << n if n <= 7 else 3 << (n - 2)
+            d = random_set(n, 1 + rng.below(most), rng).union(make_set(n, [0]))
+            got = max_subspace_in(d)
+            assert got.basis.vectors == reference_max_subspace(d), (n, d.point_list())
+    for seed in range(3):
+        a = random_set(10, 1 << 9, SplitMix64(100 + seed))
+        for c in (Fraction(1, 4), Fraction(1), Fraction(9, 8)):
+            d = popular_difference_set(a, c)
+            got = max_subspace_in(d)
+            assert got.basis.vectors == reference_max_subspace(d), (seed, c)
 
 
 def test_monotone_under_set_growth():
