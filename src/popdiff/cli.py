@@ -17,6 +17,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 from . import construction, correlation, f2n, subspace
 from .construction import (
@@ -177,26 +178,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from pathlib import Path
-
     try:
         text = Path(args.certificate).read_bytes().decode("ascii")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return 1
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"verification check 'schema' failed: not JSON ({exc})", file=sys.stderr)
-        return 3
-    try:
-        cert = Certificate.from_json_obj(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        cert = Certificate.loads(text)
+    except ValueError as exc:
         print(f"verification check 'schema' failed: {exc}", file=sys.stderr)
-        return 3
-    if text != cert.dumps():
-        print("verification check 'schema' failed: the file is not the canonical "
-              "serialization of the certificate it holds", file=sys.stderr)
         return 3
     try:
         construction.verify_certificate(cert)
@@ -300,9 +290,8 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
         except BoundaryAmbiguous:
             row["theorem_bound"] = ""
         try:
-            cert = construction.construct_popular_sumset(
-                a, c, cell_seed, budgets, exploratory=True
-            )
+            # |A| >= 1 and 0 < c < 1 hold here; the pipeline reuses d
+            cert = construction._run_pipeline(a, c, cell_seed, budgets, d)
             row["guarantee"] = cert.plan.guarantee
             row["achieved"] = cert.a2.card
             row["success"] = "true"

@@ -127,6 +127,12 @@ def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
     return r
 
 
+def _lemma_shift(n: int, r: int) -> int:
+    """The exponent 2n(r-1)+1 that clears the denominators of the size
+    restriction and the intersection acceptance (module docstring)."""
+    return 2 * n * (r - 1) + 1
+
+
 def restrict_holds(n: int, card_a: int, r: int, inv_sigma: int) -> bool:
     """Exact test of ceil(2^n alpha^r / sqrt(2)) >= inv_sigma.
 
@@ -137,7 +143,7 @@ def restrict_holds(n: int, card_a: int, r: int, inv_sigma: int) -> bool:
     """
     if inv_sigma < 1:
         raise ValueError("inv_sigma must be a positive integer")
-    return card_a ** (2 * r) > (inv_sigma - 1) ** 2 << (2 * n * (r - 1) + 1)
+    return card_a ** (2 * r) > (inv_sigma - 1) ** 2 << _lemma_shift(n, r)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ class ConstructionPlan:
 
     @property
     def lemma_shift(self) -> int:
-        return 2 * self.n * (self.r - 1) + 1
+        return _lemma_shift(self.n, self.r)
 
     @property
     def lemma_rhs(self) -> int:
@@ -234,7 +240,7 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
         r_max += 1
     for r in range(1, r_max + 1):
         k_rule = cd**r // (2 * cn**r)
-        k_size = math.isqrt((card_a ** (2 * r) - 1) >> (2 * n * (r - 1) + 1)) + 1
+        k_size = math.isqrt((card_a ** (2 * r) - 1) >> _lemma_shift(n, r)) + 1
         k = min(k_rule, k_size)
         if k < 8:
             continue  # guarantee floor(floor(k/4)/2) would be 0
@@ -294,28 +300,23 @@ class LemmaOutcome:
 
 
 def lemma_accept(
-    a_prime: DenseSet,
-    a: DenseSet,
-    c: Fraction | int,
-    sigma: Fraction | int,
-    r: int,
-    d: DenseSet | None = None,
+    a_prime: DenseSet, a: DenseSet, plan: ConstructionPlan, d: DenseSet
 ) -> LemmaOutcome:
-    """Exact acceptance test for one intersection trial.
+    """Exact acceptance test for one intersection trial under ``plan``.
 
     S is computed from one autocorrelation of A' summed over the
-    complement of D_c(A); the decision inequality is evaluated in
+    complement of d = D_c(A); the decision inequality is evaluated in
     big-integer arithmetic with no rounding anywhere.
     """
-    sigma = Fraction(sigma)
-    if d is None:
-        d = popular_difference_set(a, c)
+    if (a.n, a.card) != (plan.n, plan.card_a):
+        raise ValueError("the plan was made for a set of another dimension or size")
     ac = autocorrelation(a_prime)
     s_count = int(ac.counts[d.bits == 0].sum())
-    sn, sd = sigma.numerator, sigma.denominator
-    lhs = (sn * a_prime.card**2 - sd * s_count) << (2 * a.n * (r - 1) + 1)
-    rhs = sn * a.card ** (2 * r)
-    return LemmaOutcome(accepted=lhs >= rhs, s_count=s_count, deficit=rhs - lhs)
+    sn, sd = plan.sigma.numerator, plan.sigma.denominator
+    lhs = (sn * a_prime.card**2 - sd * s_count) << plan.lemma_shift
+    return LemmaOutcome(
+        accepted=lhs >= plan.lemma_rhs, s_count=s_count, deficit=plan.lemma_rhs - lhs
+    )
 
 
 @dataclass(frozen=True)
@@ -328,13 +329,13 @@ class LemmaStage:
 
 def find_lemma_set(
     a: DenseSet,
-    c: Fraction | int,
-    sigma: Fraction | int,
+    plan: ConstructionPlan,
+    d: DenseSet,
     rng: SplitMix64,
     max_trials: int = DEFAULT_TRIALS,
-    d: DenseSet | None = None,
 ) -> LemmaStage:
-    """Rejection-sample intersections until one is accepted.
+    """Rejection-sample intersections of ``plan.r`` translates until one
+    is accepted.
 
     Acceptance implies (and this function re-asserts) the two facts the
     rest of the pipeline relies on: the squared size bound
@@ -343,18 +344,14 @@ def find_lemma_set(
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
-    sigma = Fraction(sigma)
-    c = Fraction(c)
-    if d is None:
-        d = popular_difference_set(a, c)
-    r = lemma_r(sigma, c)
-    sn, sd = sigma.numerator, sigma.denominator
+    sn, sd = plan.sigma.numerator, plan.sigma.denominator
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
-        a0, translates = sample_intersection(a, r, rng)
-        out = lemma_accept(a0, a, c, sigma, r, d=d)
+        a0, translates = sample_intersection(a, plan.r, rng)
+        out = lemma_accept(a0, a, plan, d)
         if out.accepted:
-            if a0.card**2 << (2 * a.n * (r - 1) + 1) < a.card ** (2 * r):
+            # the size bound times sn, so that it reads off lemma_rhs
+            if sn * a0.card**2 << plan.lemma_shift < plan.lemma_rhs:
                 raise SoundnessError("accepted trial violates the squared size bound")
             if sn * a0.card**2 < sd * out.s_count:
                 raise SoundnessError("accepted trial violates the pair-density bound")
@@ -521,6 +518,14 @@ def _set_payload(s: DenseSet | None) -> str | None:
     return f2set_dumps(s).split("\n")[1]
 
 
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
 def _set_from_payload(n: int, payload: str | None) -> DenseSet | None:
     if payload is None:
         return None
@@ -579,29 +584,37 @@ class Certificate:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        return _canonical_json(self.to_json_obj())
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Certificate":
-        """Parse and reject anything internally inconsistent.
+    def from_json_obj(cls, obj) -> "Certificate":
+        """Parse a decoded certificate; raises ValueError on anything else.
 
-        Fields that are derivable from other stored fields (input digest
-        and cardinality, the plan's threshold integers, per-set
-        cardinalities) must match their derivations exactly, so edits to
-        them cannot survive parsing and resurface as a "clean" object.
+        Derivable fields are derived, never read, and the object must have
+        the canonical JSON of the certificate built from it, so an edited
+        derived field, another JSON type or spelling of a number, and an
+        unknown field all fail to parse.
         """
-        if obj.get("format") != CERT_FORMAT:
-            raise ValueError(f"unsupported certificate format: {obj.get('format')!r}")
+        try:
+            cert = cls._build(obj)
+            canonical = cert.dumps()
+            given = _canonical_json(obj)
+        except (KeyError, TypeError, ArithmeticError) as exc:
+            raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
+        if given != canonical:
+            raise ValueError("the certificate is not the canonical form of the fields it holds")
+        return cert
+
+    @classmethod
+    def _build(cls, obj) -> "Certificate":
+        if obj["format"] != CERT_FORMAT:
+            raise ValueError(f"unsupported certificate format: {obj['format']!r}")
         n = int(obj["n"])
         c = Fraction(obj["c"])
         input_set = _set_from_payload(n, obj["input_set"])
         if input_set is None:
             raise ValueError("certificate is missing the input set")
-        if int(obj["input_card"]) != input_set.card:
-            raise ValueError("stored input cardinality does not match the set")
-        if obj["input_sha256"] != set_sha256(input_set):
-            raise ValueError("stored input digest does not match the set")
-        plan_obj = dict(obj["plan"])
+        plan_obj = obj["plan"]
         plan = ConstructionPlan(
             n=n,
             card_a=input_set.card,
@@ -612,21 +625,15 @@ class Certificate:
             guarantee=int(plan_obj["guarantee"]),
             trivial=bool(plan_obj["trivial"]),
         )
-        if plan.to_json_obj() != plan_obj:
-            raise ValueError("stored plan thresholds do not match the plan parameters")
-        seed = obj["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-        stats_obj = obj["stats"]
+        seed = int(obj["seed"])
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
         a0 = _set_from_payload(n, obj["a0"])
         a1 = _set_from_payload(n, obj["a1"])
         a2 = _set_from_payload(n, obj["a2"])
         if a2 is None:
             raise ValueError("certificate is missing the constructed set")
-        if stats_obj["card_a0"] != (None if a0 is None else a0.card):
-            raise ValueError("stored |A_0| does not match the stored set")
-        if int(stats_obj["card_a2"]) != a2.card:
-            raise ValueError("stored |A_2| does not match the stored set")
+        stats_obj = obj["stats"]
         return cls(
             input_set=input_set,
             c=c,
@@ -641,12 +648,12 @@ class Certificate:
             a1=a1,
             a2=a2,
             stats=CertStats(
-                lemma_trials=stats_obj["lemma_trials"],
-                card_a0=stats_obj["card_a0"],
-                s_count=stats_obj["s_count"],
-                refine_trials=stats_obj["refine_trials"],
-                a1_pairs_in_d=stats_obj["a1_pairs_in_d"],
-                card_a2=int(stats_obj["card_a2"]),
+                lemma_trials=_optional_int(stats_obj["lemma_trials"]),
+                card_a0=None if a0 is None else a0.card,
+                s_count=_optional_int(stats_obj["s_count"]),
+                refine_trials=_optional_int(stats_obj["refine_trials"]),
+                a1_pairs_in_d=_optional_int(stats_obj["a1_pairs_in_d"]),
+                card_a2=a2.card,
             ),
             verified=bool(obj["verified"]),
             guarantee_met=bool(obj["guarantee_met"]),
@@ -654,7 +661,17 @@ class Certificate:
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
-        return cls.from_json_obj(json.loads(text))
+        """Parse certificate text; raises ValueError unless ``text`` is
+        exactly ``dumps()`` of the certificate it holds."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
+        cert = cls.from_json_obj(obj)
+        # equal to cert.dumps(), which from_json_obj compared with it
+        if text != _canonical_json(obj):
+            raise ValueError("the certificate text is not in canonical layout")
+        return cert
 
     def write(self, path) -> None:
         Path(path).write_bytes(self.dumps().encode("ascii"))
@@ -694,7 +711,8 @@ def construct_popular_sumset(
 def _run_pipeline(
     a: DenseSet, c: Fraction, seed: int, budgets: Budgets, d: DenseSet
 ) -> Certificate:
-    """The construction after argument checks, given d = D_c(A)."""
+    """The construction after argument checks (|A| >= 1, 0 < c < 1),
+    given d = D_c(A)."""
     plan = choose_sigma(a.n, a.card, c)
     rng = SplitMix64(seed)
 
@@ -702,26 +720,21 @@ def _run_pipeline(
         if not d.bits[0]:
             raise DegenerateInput("popular difference set is empty")
         a2 = make_set(a.n, [0])
-        if not verify_containment(a2, d):
-            raise SoundnessError("singleton fallback failed containment")
-        return Certificate(
-            input_set=a.copy(),
-            c=c,
-            seed=seed,
-            budgets=budgets,
-            plan=plan,
-            translates=(),
-            a0=None,
-            a1=None,
-            a2=a2,
-            stats=CertStats(None, None, None, None, None, 1),
-            verified=True,
-            guarantee_met=True,
+        translates, a0, a1 = (), None, None
+        stats = CertStats(None, None, None, None, None, a2.card)
+    else:
+        lemma = find_lemma_set(a, plan, d, rng, budgets.lemma_trials)
+        refine = refine_a1(lemma.a0, plan, d, rng, budgets.refine_trials)
+        a2 = filter_a2(refine.a1, plan, d)
+        translates, a0, a1 = lemma.translates, lemma.a0, refine.a1
+        stats = CertStats(
+            lemma_trials=lemma.trials,
+            card_a0=lemma.a0.card,
+            s_count=lemma.s_count,
+            refine_trials=refine.trials,
+            a1_pairs_in_d=refine.pairs_in_d,
+            card_a2=a2.card,
         )
-
-    lemma = find_lemma_set(a, c, plan.sigma, rng, budgets.lemma_trials, d=d)
-    refine = refine_a1(lemma.a0, plan, d, rng, budgets.refine_trials)
-    a2 = filter_a2(refine.a1, plan, d)
     if not verify_containment(a2, d):
         raise SoundnessError("independent containment check failed")
     return Certificate(
@@ -730,18 +743,11 @@ def _run_pipeline(
         seed=seed,
         budgets=budgets,
         plan=plan,
-        translates=lemma.translates,
-        a0=lemma.a0,
-        a1=refine.a1,
+        translates=translates,
+        a0=a0,
+        a1=a1,
         a2=a2,
-        stats=CertStats(
-            lemma_trials=lemma.trials,
-            card_a0=lemma.a0.card,
-            s_count=lemma.s_count,
-            refine_trials=refine.trials,
-            a1_pairs_in_d=refine.pairs_in_d,
-            card_a2=a2.card,
-        ),
+        stats=stats,
         verified=True,
         guarantee_met=a2.card >= plan.guarantee,
     )
@@ -768,15 +774,13 @@ def verify_certificate(cert: Certificate) -> None:
         expected_plan = choose_sigma(a.n, a.card, cert.c)
     except ValueError as exc:
         raise VerificationError("plan", str(exc)) from None
-    if expected_plan.to_json_obj() != cert.plan.to_json_obj():
+    if expected_plan != cert.plan:
         raise VerificationError("plan", "stored plan differs from the derived plan")
 
     if not cert.plan.trivial:
         if cert.a0 is None or cert.a1 is None:
             raise VerificationError("lemma-soundness", "intermediate sets missing")
-        outcome = lemma_accept(
-            cert.a0, a, cert.c, cert.plan.sigma, cert.plan.r, d=d
-        )
+        outcome = lemma_accept(cert.a0, a, cert.plan, d)
         if not outcome.accepted:
             raise VerificationError(
                 "lemma-soundness", "stored A_0 fails the acceptance inequality"
@@ -793,7 +797,7 @@ def verify_certificate(cert: Certificate) -> None:
     # the plan check above already enforced what construct_popular_sumset
     # checks of its arguments (|A| >= 1 and 0 < c < 1)
     try:
-        replay = _run_pipeline(a, Fraction(cert.c), cert.seed, cert.budgets, d)
+        replay = _run_pipeline(a, cert.c, cert.seed, cert.budgets, d)
     except (RetryExhausted, DegenerateInput, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
     if replay.dumps() != cert.dumps():

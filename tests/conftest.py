@@ -5,6 +5,8 @@ subspaces are enumerated from echelon-form bases, counts come from direct
 pair loops, and expected values are recomputed rather than trusted.
 """
 
+import json
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -164,3 +166,22 @@ def reference_max_subspace(d: DenseSet) -> tuple[int, ...]:
     cands = d.points()
     dfs(cands[cands != 0], np.zeros(1, dtype=np.int64), [])
     return best["basis"]
+
+
+def canonical_json(obj) -> str:
+    """The certificate layout: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Edits of a certificate's decoded JSON, each giving text that is not the
+# canonical serialization of any certificate; the benchmark's certify
+# workload runs the same seven cases against `verify`.
+NON_CANONICAL_EDITS = {
+    "seed_plus_2_64": lambda obj: canonical_json({**obj, "seed": obj["seed"] + 2**64}),
+    "compact_json": lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    "c_decimal_string": lambda obj: canonical_json({**obj, "c": str(float(Fraction(obj["c"])))}),
+    "c_json_float": lambda obj: canonical_json({**obj, "c": float(Fraction(obj["c"]))}),
+    "c_padded": lambda obj: canonical_json({**obj, "c": f" {obj['c']} "}),
+    "n_float": lambda obj: canonical_json({**obj, "n": float(obj["n"])}),
+    "extra_field": lambda obj: canonical_json({**obj, "comment": "unknown field"}),
+}

@@ -7,6 +7,8 @@ import pytest
 from popdiff.cli import main
 from popdiff.f2n import f2set_dumps, f2set_loads, linear_subspace, make_set, read_set, sumset, write_set
 
+from conftest import NON_CANONICAL_EDITS, canonical_json
+
 
 def run(*args):
     return main(list(args))
@@ -125,28 +127,28 @@ def test_verify_tampered_exit_three(small_cert, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+@pytest.mark.parametrize("edit", NON_CANONICAL_EDITS.values(), ids=NON_CANONICAL_EDITS.keys())
+def test_verify_rejects_non_canonical_certificates(small_cert, tmp_path, capsys, edit):
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(json.loads(small_cert.read_text())))
+    assert bad.read_text() != small_cert.read_text()
+    assert run("verify", str(bad)) == 3
+    assert "schema" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda obj: _canonical({**obj, "seed": obj["seed"] + 2**64}),
-        lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
-        lambda obj: _canonical({**obj, "c": "0.125"}),
-        lambda obj: _canonical({**obj, "c": 0.125}),
-        lambda obj: _canonical({**obj, "c": " 1/8 "}),
-        lambda obj: _canonical({**obj, "n": float(obj["n"])}),
-        lambda obj: _canonical({**obj, "comment": "unknown field"}),
+        lambda obj: canonical_json([obj]),
+        lambda obj: canonical_json(obj["c"]),
+        lambda obj: canonical_json({**obj, "c": "1/0"}),
+        lambda obj: canonical_json({**obj, "plan": {**obj["plan"], "sigma": "1/0"}}),
     ],
-    ids=["seed_plus_2_64", "compact_json", "c_decimal_string", "c_json_float",
-         "c_padded", "n_float", "extra_field"],
+    ids=["json_list", "json_string", "c_zero_denominator", "sigma_zero_denominator"],
 )
-def test_verify_rejects_non_canonical_certificates(small_cert, tmp_path, capsys, edit):
+def test_verify_malformed_certificate_is_a_schema_failure(small_cert, tmp_path, capsys, edit):
     bad = tmp_path / "bad.json"
     bad.write_text(edit(json.loads(small_cert.read_text())))
-    assert bad.read_text() != small_cert.read_text()
     assert run("verify", str(bad)) == 3
     assert "schema" in capsys.readouterr().err
 

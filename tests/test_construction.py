@@ -41,6 +41,8 @@ from popdiff.f2n import (
 )
 from popdiff.rng import SplitMix64
 
+from conftest import NON_CANONICAL_EDITS, canonical_json
+
 
 class FixedDraws:
     """Stand-in rng yielding a scripted sequence of below() results."""
@@ -178,16 +180,30 @@ def test_sample_intersection_subspace_invariance():
     assert out == v
 
 
+def _stage_plan(a, c, sigma, r=None):
+    """A plan with the given (c, sigma, r) for stage tests on A; r
+    defaults to the stage parameter rule."""
+    c, sigma = Fraction(c), Fraction(sigma)
+    k = sigma.denominator
+    return ConstructionPlan(
+        n=a.n, card_a=a.card, c=c, sigma=sigma,
+        r=lemma_r(sigma, c) if r is None else r,
+        target_a1_size=k // 4, guarantee=k // 4 // 2, trivial=False,
+    )
+
+
 def test_lemma_accept_full_group_saturates():
     g = full_set(6)
+    d = popular_difference_set(g, Fraction(1, 2))
     for r in (1, 2, 3):
-        out = lemma_accept(g, g, Fraction(1, 2), Fraction(1, 4), r)
+        out = lemma_accept(g, g, _stage_plan(g, Fraction(1, 2), Fraction(1, 4), r), d)
         assert out.accepted and out.s_count == 0
 
 
 def test_lemma_accept_empty_never():
     a = random_set(6, 32, SplitMix64(1))
-    out = lemma_accept(empty_set(6), a, Fraction(1, 4), Fraction(1, 8), 2)
+    d = popular_difference_set(a, Fraction(1, 4))
+    out = lemma_accept(empty_set(6), a, _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2), d)
     assert not out.accepted
     assert out.deficit > 0
 
@@ -197,7 +213,7 @@ def test_lemma_accept_s_count_matches_brute_force():
     a = random_set(8, 128, rng)
     d = popular_difference_set(a, Fraction(1, 4))
     a_prime, _ = sample_intersection(a, 2, rng)
-    out = lemma_accept(a_prime, a, Fraction(1, 4), Fraction(1, 8), 2, d=d)
+    out = lemma_accept(a_prime, a, _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2), d)
     pts = a_prime.point_list()
     brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
     assert out.s_count == brute
@@ -205,7 +221,8 @@ def test_lemma_accept_s_count_matches_brute_force():
 
 def test_find_lemma_set_full_group_first_trial():
     g = full_set(6)
-    stage = find_lemma_set(g, Fraction(1, 2), Fraction(1, 8), SplitMix64(0))
+    plan = _stage_plan(g, Fraction(1, 2), Fraction(1, 8))
+    stage = find_lemma_set(g, plan, popular_difference_set(g, Fraction(1, 2)), SplitMix64(0))
     assert stage.trials == 1
     assert stage.a0 == g
     assert stage.s_count == 0
@@ -213,7 +230,8 @@ def test_find_lemma_set_full_group_first_trial():
 
 def test_find_lemma_set_on_hyperplane():
     v = linear_subspace(8, [1 << i for i in range(7)])
-    stage = find_lemma_set(v, Fraction(1, 2), Fraction(1, 8), SplitMix64(0))
+    plan = _stage_plan(v, Fraction(1, 2), Fraction(1, 8))
+    stage = find_lemma_set(v, plan, popular_difference_set(v, Fraction(1, 2)), SplitMix64(0))
     # the accepted intersection is a coset of V, where pair sums stay in V
     assert stage.a0.card == v.card
     assert stage.s_count == 0
@@ -222,15 +240,19 @@ def test_find_lemma_set_on_hyperplane():
 def test_find_lemma_set_random_runs_within_fifty_trials():
     for seed in range(5):
         a = random_set(12, 2048, SplitMix64(seed))
-        stage = find_lemma_set(a, Fraction(1, 8), Fraction(1, 16), SplitMix64(seed), max_trials=50)
+        plan = _stage_plan(a, Fraction(1, 8), Fraction(1, 16))
+        d = popular_difference_set(a, Fraction(1, 8))
+        stage = find_lemma_set(a, plan, d, SplitMix64(seed), max_trials=50)
         assert stage.trials <= 50
 
 
 def test_find_lemma_set_retry_exhausted_reports_deficit():
     # a 2-point set: intersections are almost always too small to accept
     a = make_set(4, [0, 1])
+    plan = _stage_plan(a, Fraction(1, 2), Fraction(1, 8))
+    d = popular_difference_set(a, Fraction(1, 2))
     with pytest.raises(RetryExhausted) as exc:
-        find_lemma_set(a, Fraction(1, 2), Fraction(1, 8), SplitMix64(0), max_trials=5)
+        find_lemma_set(a, plan, d, SplitMix64(0), max_trials=5)
     assert exc.value.stage == "lemma"
     assert exc.value.trials == 5
     assert exc.value.best_deficit > 0
@@ -447,6 +469,33 @@ def test_certificate_schema_rejects_inconsistent_fields():
     for mutate in (edit_threshold, edit_card, edit_hash):
         with pytest.raises(ValueError):
             Certificate.from_json_obj(_tampered_obj(cert, mutate))
+
+
+@pytest.fixture(scope="module")
+def cert_text():
+    a = random_set(12, 2048, SplitMix64(4))
+    return construct_popular_sumset(a, Fraction(1, 8), seed=1).dumps()
+
+
+@pytest.mark.parametrize("edit", NON_CANONICAL_EDITS.values(), ids=NON_CANONICAL_EDITS.keys())
+def test_loads_rejects_non_canonical_text(cert_text, edit):
+    with pytest.raises(ValueError):
+        Certificate.loads(edit(json.loads(cert_text)))
+
+
+_INTEGER_FIELDS = [("budgets", "lemma_trials"), ("budgets", "refine_trials")] + [
+    ("stats", f) for f in
+    ("lemma_trials", "card_a0", "s_count", "refine_trials", "a1_pairs_in_d", "card_a2")
+]
+
+
+@pytest.mark.parametrize("section,field", _INTEGER_FIELDS, ids=[".".join(p) for p in _INTEGER_FIELDS])
+@pytest.mark.parametrize("retype", [float, str, lambda v: True], ids=["float", "str", "bool"])
+def test_loads_rejects_integer_fields_of_another_json_type(cert_text, section, field, retype):
+    obj = json.loads(cert_text)
+    obj[section][field] = retype(obj[section][field])
+    with pytest.raises(ValueError):
+        Certificate.loads(canonical_json(obj))
 
 
 def test_certificate_seed_must_be_a_64_bit_integer():
