@@ -163,8 +163,8 @@ def cmd_dcset(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    a = f2n.read_set(args.input)
     budgets = Budgets(args.lemma_trials, args.refine_trials)
+    a = f2n.read_set(args.input)
     cert = construction.construct_popular_sumset(
         a, args.c, args.seed, budgets, exploratory=args.exploratory
     )

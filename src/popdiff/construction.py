@@ -52,6 +52,7 @@ from .f2n import (
 from .rng import SplitMix64
 
 DEFAULT_TRIALS = 200
+MAX_TRIALS = 10**6  # the largest budget a stage, or a certificate, may state
 
 CERT_FORMAT = "POPDIFF-CERT v1"
 
@@ -100,8 +101,19 @@ class BoundaryAmbiguous(ValueError):
 
 @dataclass(frozen=True)
 class Budgets:
+    """Trial caps of the two randomized stages, each an int in
+    [1, MAX_TRIALS]; anything else raises ValueError."""
+
     lemma_trials: int = DEFAULT_TRIALS
     refine_trials: int = DEFAULT_TRIALS
+
+    def __post_init__(self) -> None:
+        for name in ("lemma_trials", "refine_trials"):
+            value = getattr(self, name)
+            if type(value) is not int or not 1 <= value <= MAX_TRIALS:
+                raise ValueError(
+                    f"{name} must be an integer in [1, {MAX_TRIALS}], got {value!r}"
+                )
 
 
 def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
@@ -282,12 +294,18 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
 
 
 def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet, list[int]]:
-    """Intersection of r independent uniform translates of A."""
+    """Intersection of r independent uniform translates of A.
+
+    All r translates are drawn, so the rng advances alike on every trial;
+    once the running intersection is empty the rest are not applied.
+    """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     translates = [rng.below(a.size) for _ in range(r)]
     out = a.translate(translates[0])
     for x in translates[1:]:
+        if not out.bits.any():
+            break
         out = out.intersect(a.translate(x))
     return out, translates
 
@@ -304,16 +322,22 @@ def lemma_accept(
 ) -> LemmaOutcome:
     """Exact acceptance test for one intersection trial under ``plan``.
 
-    S is computed from one autocorrelation of A' summed over the
-    complement of d = D_c(A); the decision inequality is evaluated in
-    big-integer arithmetic with no rounding anywhere.
+    S counts the ordered pairs of A' whose sum lies outside d = D_c(A).
+    When |A'|^2 <= 2^n it is |A'|^2 minus the pairs gathered inside d
+    (at most 2^n lookups, with a temporary no larger than one int64
+    vector of length 2^n); otherwise it is the autocorrelation of A'
+    summed over the complement of d.  The decision inequality is
+    evaluated in big-integer arithmetic with no rounding anywhere.
     """
     if (a.n, a.card) != (plan.n, plan.card_a):
         raise ValueError("the plan was made for a set of another dimension or size")
-    ac = autocorrelation(a_prime)
-    s_count = int(ac.counts[d.bits == 0].sum())
+    pairs = a_prime.card**2
+    if pairs <= a_prime.size:
+        s_count = pairs - int(xor_member_counts(a_prime.points(), d.bits).sum())
+    else:
+        s_count = int(autocorrelation(a_prime).counts[d.bits == 0].sum())
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
-    lhs = (sn * a_prime.card**2 - sd * s_count) << plan.lemma_shift
+    lhs = (sn * pairs - sd * s_count) << plan.lemma_shift
     return LemmaOutcome(
         accepted=lhs >= plan.lemma_rhs, s_count=s_count, deficit=plan.lemma_rhs - lhs
     )
@@ -709,12 +733,19 @@ def construct_popular_sumset(
 
 
 def _run_pipeline(
-    a: DenseSet, c: Fraction, seed: int, budgets: Budgets, d: DenseSet
+    a: DenseSet,
+    c: Fraction,
+    seed: int,
+    budgets: Budgets,
+    d: DenseSet,
+    limits: Budgets | None = None,
 ) -> Certificate:
     """The construction after argument checks (|A| >= 1, 0 < c < 1),
-    given d = D_c(A)."""
+    given d = D_c(A).  The stages run at most ``limits`` trials (by
+    default the budgets); the certificate records the budgets."""
     plan = choose_sigma(a.n, a.card, c)
     rng = SplitMix64(seed)
+    limits = limits or budgets
 
     if plan.trivial:
         if not d.bits[0]:
@@ -723,8 +754,8 @@ def _run_pipeline(
         translates, a0, a1 = (), None, None
         stats = CertStats(None, None, None, None, None, a2.card)
     else:
-        lemma = find_lemma_set(a, plan, d, rng, budgets.lemma_trials)
-        refine = refine_a1(lemma.a0, plan, d, rng, budgets.refine_trials)
+        lemma = find_lemma_set(a, plan, d, rng, limits.lemma_trials)
+        refine = refine_a1(lemma.a0, plan, d, rng, limits.refine_trials)
         a2 = filter_a2(refine.a1, plan, d)
         translates, a0, a1 = lemma.translates, lemma.a0, refine.a1
         stats = CertStats(
@@ -760,7 +791,8 @@ def verify_certificate(cert: Certificate) -> None:
     by a naive sumset against a freshly computed D_c(A), the plan is
     re-derived from (n, |A|, c), the lemma-stage inequalities are
     re-checked from the stored sets, and finally the whole run is
-    replayed from the stored seed and compared byte for byte.
+    replayed from the stored seed and compared byte for byte.  The replay
+    runs no more trials than the certificate's stats record.
     """
     a = cert.input_set
 
@@ -797,8 +829,21 @@ def verify_certificate(cert: Certificate) -> None:
     # the plan check above already enforced what construct_popular_sumset
     # checks of its arguments (|A| >= 1 and 0 < c < 1)
     try:
-        replay = _run_pipeline(a, cert.c, cert.seed, cert.budgets, d)
+        replay = _run_pipeline(a, cert.c, cert.seed, cert.budgets, d, _replay_limits(cert))
     except (RetryExhausted, DegenerateInput, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
     if replay.dumps() != cert.dumps():
         raise VerificationError("replay", "replayed certificate differs")
+
+
+def _replay_limits(cert: Certificate) -> Budgets:
+    """The budgets capped at the trial counts the certificate records, so
+    a replay never runs more trials than the certificate claims."""
+    if cert.plan.trivial:
+        return cert.budgets  # the trivial pipeline runs no trials
+    used = (cert.stats.lemma_trials, cert.stats.refine_trials)
+    if None in used:
+        raise ValueError("the certificate records no trial counts")
+    return Budgets(
+        min(cert.budgets.lemma_trials, used[0]), min(cert.budgets.refine_trials, used[1])
+    )

@@ -26,7 +26,7 @@ MAX_DIM = 30
 
 _XOR_BLOCK_ROWS = 512  # rows per pairwise-XOR gather in xor_member_counts
 
-_F2SET_HEADER = re.compile(r"^F2SET v1 n=([0-9]+)$")
+_F2SET_HEADER = re.compile(r"^F2SET v1 n=([1-9][0-9]*)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_VALUES = np.full(256, 255, dtype=np.uint8)
 for _i, _ch in enumerate(b"0123456789abcdef"):
@@ -281,11 +281,11 @@ def f2set_dumps(s: DenseSet) -> str:
 
 
 def f2set_loads(text: str) -> DenseSet:
+    """Parse F2SET text; raises ValueError unless it is exactly the
+    ``f2set_dumps`` text of the set it holds."""
     lines = text.split("\n")
-    if len(lines) == 3 and lines[2] == "":
-        lines = lines[:2]
-    if len(lines) != 2:
-        raise ValueError("F2SET file must have a header line and a payload line")
+    if len(lines) != 3 or lines[2]:
+        raise ValueError("F2SET text must be a header line and a payload line, each ending in \\n")
     m = _F2SET_HEADER.match(lines[0])
     if not m:
         raise ValueError(f"bad F2SET header: {lines[0]!r}")

@@ -61,14 +61,19 @@ def brute_counts(a: DenseSet) -> np.ndarray:
     return counts
 
 
-def _wht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, one butterfly stage at a time."""
+def reference_fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, in
+    place, one radix-2 butterfly stage over the whole array at a time;
+    returns ``a``.  Reference for the blocked radix-4 ``fwht_inplace``."""
+    size = a.shape[-1]
     h = 1
-    while h < len(v):
-        pairs = v.reshape(-1, 2, h)
-        v = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+    while h < size:
+        pairs = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        top = pairs[..., 0, :] + pairs[..., 1, :]
+        pairs[..., 1, :] = pairs[..., 0, :] - pairs[..., 1, :]
+        pairs[..., 0, :] = top
         h *= 2
-    return v
+    return a
 
 
 def limb_xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.ndarray:
@@ -81,11 +86,11 @@ def limb_xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> 
     division by 2^n.  Reference for the plain int64 inverse.
     """
     n = len(ind_a).bit_length() - 1
-    fa = _wht(ind_a.astype(np.int64))
-    fb = fa if ind_b is None else _wht(ind_b.astype(np.int64))
+    fa = reference_fwht(ind_a.astype(np.int64))
+    fb = fa if ind_b is None else reference_fwht(ind_b.astype(np.int64))
     spectrum = fa * fb
-    lo = _wht(spectrum & ((1 << 30) - 1))
-    hi = _wht(spectrum >> 30)
+    lo = reference_fwht(spectrum & ((1 << 30) - 1))
+    hi = reference_fwht(spectrum >> 30)
     counts = np.empty(len(spectrum), dtype=np.int64)
     step = 1 << 16  # bounds the object-dtype temporaries
     for i in range(0, len(spectrum), step):

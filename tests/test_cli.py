@@ -5,6 +5,7 @@ import json
 import pytest
 
 from popdiff.cli import main
+from popdiff.construction import MAX_TRIALS
 from popdiff.f2n import f2set_dumps, f2set_loads, linear_subspace, make_set, read_set, sumset, write_set
 
 from conftest import NON_CANONICAL_EDITS, canonical_json
@@ -164,6 +165,30 @@ def test_seed_outside_64_bits_is_a_usage_error(small_cert, tmp_path):
         assert run("construct", str(a_path), "--c", "1/4", "--seed", seed,
                    "--out", str(tmp_path / "c.json")) == 1
     assert not (tmp_path / "c.json").exists()
+
+
+def test_trial_budgets_outside_the_cap_are_usage_errors(tmp_path):
+    a_path = tmp_path / "A.set"
+    write_set(linear_subspace(6, [1, 2, 4]), a_path)
+    out = tmp_path / "out"
+    for flag in ("--lemma-trials", "--refine-trials"):
+        for value in ("0", "-1", str(MAX_TRIALS + 1), "1.5"):
+            assert run("construct", str(a_path), "--c", "1/4", "--seed", "0",
+                       "--out", str(out), flag, value) == 1
+            assert run("sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4",
+                       "--out", str(out), flag, value) == 1
+    assert not out.exists()
+    assert run("construct", str(a_path), "--c", "1/4", "--seed", "0",
+               "--out", str(out), "--lemma-trials", str(MAX_TRIALS)) == 0
+
+
+def test_verify_budget_outside_the_cap_is_a_schema_failure(small_cert, tmp_path, capsys):
+    obj = json.loads(small_cert.read_text())
+    obj["budgets"]["lemma_trials"] = 10**9
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(obj))
+    assert run("verify", str(bad)) == 3
+    assert "schema" in capsys.readouterr().err
 
 
 def test_verify_point_addition_exit_three(small_cert, tmp_path):

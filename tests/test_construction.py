@@ -1,13 +1,16 @@
 """Plans, stage acceptance, the construction pipeline, and certificates."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from popdiff import construction
 from popdiff.construction import (
+    MAX_TRIALS,
     BoundaryAmbiguous,
     Budgets,
     Certificate,
@@ -29,7 +32,7 @@ from popdiff.construction import (
     verify_certificate,
     verify_containment,
 )
-from popdiff.correlation import popular_difference_set
+from popdiff.correlation import autocorrelation, popular_difference_set
 from popdiff.f2n import (
     empty_set,
     f2set_dumps,
@@ -172,6 +175,17 @@ def test_sample_intersection_full_group():
     assert out == g
 
 
+def test_sample_intersection_draws_every_translate_after_it_empties():
+    a = make_set(4, [0, 1])
+    # {0, 1} + 2 is disjoint from {0, 1}; the last two translates are
+    # still drawn, so the rng advances by r draws on every trial
+    draws = FixedDraws([0, 2, 1, 3])
+    out, translates = sample_intersection(a, 4, draws)
+    assert translates == [0, 2, 1, 3]
+    assert draws.values == []
+    assert out.card == 0
+
+
 def test_sample_intersection_subspace_invariance():
     v = linear_subspace(5, [1, 2, 4])
     # translates drawn inside V leave V fixed
@@ -208,7 +222,7 @@ def test_lemma_accept_empty_never():
     assert out.deficit > 0
 
 
-def test_lemma_accept_s_count_matches_brute_force():
+def test_lemma_accept_s_count_matches_brute_force(monkeypatch):
     rng = SplitMix64(4)
     a = random_set(8, 128, rng)
     d = popular_difference_set(a, Fraction(1, 4))
@@ -217,6 +231,29 @@ def test_lemma_accept_s_count_matches_brute_force():
     pts = a_prime.point_list()
     brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
     assert out.s_count == brute
+
+    # both routes, on either side of the threshold |A'|^2 <= 2^n: the
+    # pair gather below it, the autocorrelation above it
+    transformed = []
+    monkeypatch.setattr(
+        construction, "autocorrelation",
+        lambda s: transformed.append(s.card) or autocorrelation(s),
+    )
+    for n in (8, 9):
+        a = random_set(n, 1 << (n - 1), rng)
+        d = popular_difference_set(a, Fraction(1, 4))
+        plan = _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2)
+        edge = math.isqrt(1 << n)  # floor(2^(n/2))
+        for size in (0, 1, edge, edge + 1, 3 * edge):
+            a_prime = make_set(n, rng.sample(1 << n, size))
+            pts = a_prime.point_list()
+            brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
+            transformed.clear()
+            out = lemma_accept(a_prime, a, plan, d)
+            assert out.s_count == brute
+            lhs = (size**2 - plan.sigma.denominator * brute) << plan.lemma_shift
+            assert out.deficit == plan.lemma_rhs - lhs
+            assert transformed == ([size] if size**2 > 1 << n else [])
 
 
 def test_find_lemma_set_full_group_first_trial():
@@ -496,6 +533,52 @@ def test_loads_rejects_integer_fields_of_another_json_type(cert_text, section, f
     obj[section][field] = retype(obj[section][field])
     with pytest.raises(ValueError):
         Certificate.loads(canonical_json(obj))
+
+
+def test_budgets_are_integers_within_the_trial_cap():
+    assert Budgets(1, MAX_TRIALS).refine_trials == MAX_TRIALS
+    for bad in (0, -1, MAX_TRIALS + 1, 10**9, True, 2.0, "5", None):
+        with pytest.raises(ValueError):
+            Budgets(bad, 1)
+        with pytest.raises(ValueError):
+            Budgets(1, bad)
+
+
+@pytest.mark.parametrize("field", ["lemma_trials", "refine_trials"])
+def test_loads_rejects_budgets_outside_the_trial_cap(cert_text, field):
+    obj = json.loads(cert_text)
+    for value in (0, -1, MAX_TRIALS + 1, 10**9):
+        obj["budgets"][field] = value
+        with pytest.raises(ValueError):
+            Certificate.loads(canonical_json(obj))
+    obj["budgets"][field] = MAX_TRIALS
+    assert getattr(Certificate.loads(canonical_json(obj)).budgets, field) == MAX_TRIALS
+
+
+def test_verify_replay_runs_no_more_trials_than_recorded(monkeypatch):
+    # on this hyperplane seed 3 needs 20 lemma trials; the budget allows
+    # MAX_TRIALS, so only the recorded count can bound the replay
+    v = linear_subspace(10, [1 << i for i in range(9)])
+    cert = construct_popular_sumset(
+        v, Fraction(1, 2), seed=3, budgets=Budgets(MAX_TRIALS, MAX_TRIALS)
+    )
+    assert cert.stats.lemma_trials == 20
+    verify_certificate(cert)
+    calls = []
+    accept = construction.lemma_accept
+    monkeypatch.setattr(
+        construction, "lemma_accept", lambda *args: calls.append(1) or accept(*args)
+    )
+    # the lemma-soundness check makes one call, each replayed trial one more
+    for recorded, expected_calls in ((None, 1), (0, 1), (1, 2), (19, 20)):
+        bad = Certificate.from_json_obj(
+            _tampered_obj(cert, lambda o: o["stats"].update(lemma_trials=recorded))
+        )
+        calls.clear()
+        with pytest.raises(VerificationError) as exc:
+            verify_certificate(bad)
+        assert exc.value.check == "replay"
+        assert len(calls) == expected_calls
 
 
 def test_certificate_seed_must_be_a_64_bit_integer():

@@ -22,7 +22,7 @@ from popdiff.f2n import (
 )
 from popdiff.rng import SplitMix64
 
-from conftest import brute_counts, limb_xor_pair_counts, set_from_mask
+from conftest import brute_counts, limb_xor_pair_counts, reference_fwht, set_from_mask
 
 
 def test_counts_small_example():
@@ -95,6 +95,49 @@ def test_translation_invariance():
         assert popular_difference_set(moved, Fraction(1, 3)) == popular_difference_set(
             a, Fraction(1, 3)
         )
+
+
+def _fwht(v: np.ndarray) -> np.ndarray:
+    out = v.copy()
+    walsh.fwht_inplace(out)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_fwht_matches_radix2_reference(n):
+    # odd n ends in a radix-2 stage; from n = 17 on, h reaches 2^15 and
+    # each pass is chunked along h instead of over the groups
+    gen = np.random.default_rng(n)
+    v = gen.integers(-3, 4, size=1 << n, dtype=np.int64)
+    assert np.array_equal(_fwht(v), reference_fwht(v.copy()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 16])
+def test_fwht_batched_matches_radix2_reference(n):
+    gen = np.random.default_rng(100 + n)
+    batch = gen.integers(0, 2, size=(5, 1 << n)).astype(np.int64)
+    out = _fwht(batch)
+    assert np.array_equal(out, reference_fwht(batch.copy()))
+    for row in range(len(batch)):
+        assert np.array_equal(out[row], _fwht(batch[row]))
+
+
+@pytest.mark.parametrize("n", [11, 18, 21])
+def test_fwht_of_a_signed_spectrum_product(n):
+    # the inverse pass of xor_pair_counts: F_A * F_B has both signs and
+    # entries up to 4^n; transformed again it is 2^n times the pair counts
+    gen = np.random.default_rng(200 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    spectrum = _fwht(ind_a.astype(np.int64)) * _fwht(ind_b.astype(np.int64))
+    assert (spectrum < 0).any() and (spectrum > 0).any()
+    assert np.array_equal(_fwht(spectrum), reference_fwht(spectrum.copy()))
+
+
+def test_fwht_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        walsh.fwht_inplace(np.zeros(12, dtype=np.int64))
+    with pytest.raises(ValueError):
+        walsh.fwht_inplace(np.zeros((8, 4), dtype=np.int64).T)  # not C-contiguous
 
 
 def test_int64_inverse_matches_limb_reference_at_n21():

@@ -202,6 +202,8 @@ def test_f2set_roundtrip_bit_exact(tmp_path):
         "F2SET v1 n=1\n4\n",             # padding bit set
         "F2SET v1 n=2\n0\nextra\n",      # trailing junk
         "F2SET v1  n=2\n0\n",            # malformed header spacing
+        "F2SET v1 n=0003\n0f\n",         # leading zeros in n
+        "F2SET v1 n=3\n0f",              # no final newline
     ],
 )
 def test_f2set_rejections(text):
