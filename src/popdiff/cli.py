@@ -290,8 +290,8 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
         except BoundaryAmbiguous:
             row["theorem_bound"] = ""
         try:
-            # |A| >= 1 and 0 < c < 1 hold here; the pipeline reuses d
-            cert = construction._run_pipeline(a, c, cell_seed, budgets, d)
+            # |A| >= 1 and 0 < c < 1 hold here; the construction reuses d
+            cert = construction._construct(a, c, cell_seed, budgets, d)
             row["guarantee"] = cert.plan.guarantee
             row["achieved"] = cert.a2.card
             row["success"] = "true"

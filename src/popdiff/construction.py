@@ -7,7 +7,15 @@ almost all pairwise sums popular, and filters to the A_2 whose members see
 every partner, which forces A_2 + A_2 inside D_c(A).  Randomness only
 decides *when* a stage succeeds; every acceptance is an exact big-integer
 inequality, and a successful run is re-verified by an independent naive
-sumset check before a certificate is issued.
+containment check before a certificate is issued: every pairwise XOR of
+A_2 is looked up in D_c(A), with no transform and no sumset built.  The
+verifier runs that check once, on the stored A_2, and its replay does not
+repeat it.
+
+The three pairwise stages (intersection acceptance, subsample, filter)
+share one route rule for a set of m points: gather the m^2 pairwise XORs
+when m^2 <= 2^n, otherwise count through one exact Walsh-Hadamard
+transform.  Both routes give the same integer counts.
 
 Exact forms used throughout (alpha = |A| / 2^n, sigma = sn/sd in lowest
 terms, all stated over the normalized counting measure and then cleared of
@@ -46,13 +54,14 @@ from .f2n import (
     f2set_loads,
     make_set,
     set_sha256,
-    sumset,
     xor_member_counts,
 )
 from .rng import SplitMix64
+from .walsh import xor_pair_counts
 
 DEFAULT_TRIALS = 200
 MAX_TRIALS = 10**6  # the largest budget a stage, or a certificate, may state
+_CONTAINMENT_BLOCK = 1 << 18  # pairs per block of the containment check
 
 CERT_FORMAT = "POPDIFF-CERT v1"
 
@@ -310,6 +319,14 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
     return out, translates
 
 
+def _gathers(card: int, n: int) -> bool:
+    """Route rule of the three pairwise stages on a set S of ``card``
+    points in F_2^n: gather the |S|^2 pairwise XORs when |S|^2 <= 2^n (at
+    most 2^n lookups, with a temporary no larger than one int64 vector of
+    length 2^n), otherwise run the Walsh-Hadamard transform."""
+    return card * card <= 1 << n
+
+
 @dataclass(frozen=True)
 class LemmaOutcome:
     accepted: bool
@@ -323,16 +340,15 @@ def lemma_accept(
     """Exact acceptance test for one intersection trial under ``plan``.
 
     S counts the ordered pairs of A' whose sum lies outside d = D_c(A).
-    When |A'|^2 <= 2^n it is |A'|^2 minus the pairs gathered inside d
-    (at most 2^n lookups, with a temporary no larger than one int64
-    vector of length 2^n); otherwise it is the autocorrelation of A'
-    summed over the complement of d.  The decision inequality is
-    evaluated in big-integer arithmetic with no rounding anywhere.
+    On the gather route (``_gathers``) it is |A'|^2 minus the pairs
+    gathered inside d; otherwise it is the autocorrelation of A' summed
+    over the complement of d.  The decision inequality is evaluated in
+    big-integer arithmetic with no rounding anywhere.
     """
     if (a.n, a.card) != (plan.n, plan.card_a):
         raise ValueError("the plan was made for a set of another dimension or size")
     pairs = a_prime.card**2
-    if pairs <= a_prime.size:
+    if _gathers(a_prime.card, a_prime.n):
         s_count = pairs - int(xor_member_counts(a_prime.points(), d.bits).sum())
     else:
         s_count = int(autocorrelation(a_prime).counts[d.bits == 0].sum())
@@ -402,7 +418,9 @@ def refine_a1(
     """Uniform m-subset of A_0, resampled until almost all pair sums are
     popular: sd * pairs >= (sd - 2 sn) * m^2, checked exactly.
 
-    The pair count is a direct O(m^2) scan in row blocks.
+    The pair count is gathered from the m^2 pairwise XORs in row blocks
+    or, on the transform route (``_gathers``), is the autocorrelation of
+    the sample summed over D; both are the same exact integer.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -413,10 +431,15 @@ def refine_a1(
     if len(pts) < m:
         raise PlanInfeasible(f"|A_0| = {len(pts)} is below the target size {m}")
     sd = plan.sigma.denominator
+    gather = _gathers(m, a0.n)
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
         chosen = pts[rng.sample(len(pts), m)]
-        pairs = int(xor_member_counts(chosen, d.bits).sum())
+        if gather:
+            pairs = int(xor_member_counts(chosen, d.bits).sum())
+        else:
+            counts = autocorrelation(make_set(a0.n, chosen)).counts
+            pairs = int(counts.sum(where=d.bits != 0))
         if pairs * sd >= plan.pair_rhs:
             return RefineStage(make_set(a0.n, chosen), pairs, trial)
         deficit = plan.pair_rhs - pairs * sd
@@ -432,6 +455,8 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     of A_1, so membership literally means x + A_1 lies inside D; that set
     inclusion and the counting bound |A_2| >= ceil(|A_1| / 2) are both
     asserted outright, since they are theorems given an accepted A_1.
+    The count of x is gathered from x + A_1 or, on the transform route
+    (``_gathers``), read off the exact XOR pair counts of A_1 and D at x.
     """
     m = plan.target_a1_size
     pts = a1.points()
@@ -440,7 +465,10 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     if 3 * sn * m >= sd:
         raise PlanInfeasible("3 * sigma * |A_1| must stay below 1")
-    counts = xor_member_counts(pts, d.bits)
+    if _gathers(m, a1.n):
+        counts = xor_member_counts(pts, d.bits)
+    else:
+        counts = xor_pair_counts(a1.bits, d.bits)[pts]
     keep = counts * sd >= plan.filter_rhs
     kept = pts[keep]
     # counts[x] == m says that x + y lies in D for every y in A_1
@@ -452,14 +480,25 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
 
 
 def verify_containment(a2: DenseSet, d: DenseSet) -> bool:
-    """Exhaustive check that A_2 + A_2 is inside D via the naive sumset.
+    """Exhaustive check that A_2 + A_2 is inside D, pair by pair.
 
-    Deliberately independent of the pipeline bookkeeping: the sumset is
-    recomputed from pairwise XORs, not from any transform or stored count.
+    Deliberately independent of the pipeline bookkeeping: every sum x + y
+    with x <= y in A_2 is formed as a pairwise XOR and looked up in D, with
+    no transform, no stored count and no sumset built.  The rows from
+    index i on are tested against the points from index i on, in blocks
+    of about 2^18 pairs, and the first block with a sum outside D ends the
+    check.
     """
     if a2.n != d.n:
         raise ValueError(f"dimension mismatch: {a2.n} vs {d.n}")
-    return sumset(a2, a2, method="naive").subset_of(d)
+    pts = a2.points()
+    i = 0
+    while i < len(pts):
+        rows = max(1, _CONTAINMENT_BLOCK // (len(pts) - i))
+        if not d.bits[pts[i : i + rows, None] ^ pts[None, i:]].all():
+            return False
+        i += rows
+    return True
 
 
 def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
@@ -729,7 +768,19 @@ def construct_popular_sumset(
         raise ValueError(
             f"c = {c} exceeds 1/2; pass exploratory=True to run anyway"
         )
-    return _run_pipeline(a, c, seed, budgets, popular_difference_set(a, c))
+    return _construct(a, c, seed, budgets, popular_difference_set(a, c))
+
+
+def _construct(
+    a: DenseSet, c: Fraction, seed: int, budgets: Budgets, d: DenseSet
+) -> Certificate:
+    """The pipeline, then the independent containment check that must
+    pass before its certificate is issued; for callers that have checked
+    the arguments (|A| >= 1, 0 < c < 1) and hold d = D_c(A)."""
+    cert = _run_pipeline(a, c, seed, budgets, d)
+    if not verify_containment(cert.a2, d):
+        raise SoundnessError("independent containment check failed")
+    return cert
 
 
 def _run_pipeline(
@@ -740,9 +791,12 @@ def _run_pipeline(
     d: DenseSet,
     limits: Budgets | None = None,
 ) -> Certificate:
-    """The construction after argument checks (|A| >= 1, 0 < c < 1),
-    given d = D_c(A).  The stages run at most ``limits`` trials (by
-    default the budgets); the certificate records the budgets."""
+    """The construction stages after argument checks (|A| >= 1,
+    0 < c < 1), given d = D_c(A).  The stages run at most ``limits``
+    trials (by default the budgets); the certificate records the budgets.
+    The containment check is left to the caller: ``_construct`` runs it
+    before issuing, and ``verify_certificate`` runs it once, on the
+    certificate it checks, before it replays."""
     plan = choose_sigma(a.n, a.card, c)
     rng = SplitMix64(seed)
     limits = limits or budgets
@@ -766,8 +820,6 @@ def _run_pipeline(
             a1_pairs_in_d=refine.pairs_in_d,
             card_a2=a2.card,
         )
-    if not verify_containment(a2, d):
-        raise SoundnessError("independent containment check failed")
     return Certificate(
         input_set=a.copy(),
         c=c,
@@ -788,11 +840,16 @@ def verify_certificate(cert: Certificate) -> None:
     """Independently re-verify a certificate; raises VerificationError.
 
     Stored booleans are given zero trust: the containment is re-derived
-    by a naive sumset against a freshly computed D_c(A), the plan is
+    pair by pair against a freshly computed D_c(A), the plan is
     re-derived from (n, |A|, c), the lemma-stage inequalities are
     re-checked from the stored sets, and finally the whole run is
     replayed from the stored seed and compared byte for byte.  The replay
     runs no more trials than the certificate's stats record.
+
+    The containment check runs once, on the stored A_2.  The replay does
+    not repeat it: a replay whose bytes equal the certificate's has the
+    same A_2 and the same D, so a second check could not change the
+    verdict.
     """
     a = cert.input_set
 

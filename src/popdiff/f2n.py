@@ -25,6 +25,8 @@ from .rng import SplitMix64
 MAX_DIM = 30
 
 _XOR_BLOCK_ROWS = 512  # rows per pairwise-XOR gather in xor_member_counts
+_TRANSLATE_COL_BITS = 12  # translate views the bits as rows of 2^12
+_TRANSLATE_BLOCK_ROWS = 64  # rows per gather in translate
 
 _F2SET_HEADER = re.compile(r"^F2SET v1 n=([1-9][0-9]*)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -121,14 +123,24 @@ class DenseSet:
         return DenseSet._wrap(self.n, self.bits.copy())
 
     def translate(self, t: int) -> "DenseSet":
-        """The translate {t + a : a in A}; an involution in t."""
+        """The translate {t + a : a in A}; an involution in t.
+
+        Viewed as a (2^(n-k), 2^k) matrix with k = min(n, 12), index
+        XOR t permutes the rows by t >> k and the columns by the low k
+        bits of t, so the output is gathered in blocks of 64 rows and
+        the temporary never exceeds 256 KiB.
+        """
         t = _check_point(self.n, t)
-        b = self.bits
-        for j in range(self.n):
-            if (t >> j) & 1:
-                # XOR of index bit j permutes adjacent blocks of size 2^j
-                b = b.reshape(-1, 2, 1 << j)[:, ::-1, :].reshape(-1)
-        return DenseSet._wrap(self.n, np.ascontiguousarray(b) if b is not self.bits else b.copy())
+        k = min(self.n, _TRANSLATE_COL_BITS)
+        src = self.bits.reshape(-1, 1 << k)
+        out = np.empty_like(self.bits)
+        dst = out.reshape(src.shape)
+        row_idx = np.arange(src.shape[0]) ^ (t >> k)
+        col_idx = np.arange(1 << k) ^ (t & ((1 << k) - 1))
+        for r in range(0, src.shape[0], _TRANSLATE_BLOCK_ROWS):
+            block = src[row_idx[r : r + _TRANSLATE_BLOCK_ROWS]]
+            np.take(block, col_idx, axis=1, out=dst[r : r + _TRANSLATE_BLOCK_ROWS])
+        return DenseSet._wrap(self.n, out)
 
     def _check_same_dim(self, other: "DenseSet") -> None:
         if self.n != other.n:

@@ -23,13 +23,23 @@ radix-2 stage is left at the end.  Each pass walks the array in chunks of
 at most 2^15 elements per lane, over the groups of lanes when h is small
 and along h when h is large, so the two scratch vectors stay in cache
 and scratch memory is bounded by the chunk, not by 2^n.
+
+Arrays of at most 2^10 entries skip the passes: the transform of each
+row is H_p X H_q for the row viewed as a 2^p x 2^q matrix X (p + q = n,
+H the Sylvester-Hadamard matrices), two small integer matrix products
+whose per-call cost is a fraction of the passes' at this size.  Every
+partial sum of either product is a signed sum of distinct input
+entries, so the same bound holds for it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _CHUNK = 1 << 15  # elements per lane in one step of a pass
+_MATMUL_MAX = 1 << 10  # largest array transformed by two matrix products
 
 
 def fwht_inplace(a: np.ndarray) -> None:
@@ -45,6 +55,11 @@ def fwht_inplace(a: np.ndarray) -> None:
         raise ValueError(f"transform length {size} is not a power of two")
     if not a.flags.c_contiguous:
         raise ValueError("the transform runs in place on a C-contiguous array")
+    if a.size <= _MATMUL_MAX:
+        n = size.bit_length() - 1
+        x = a.reshape(-1, 1 << n // 2, 1 << (n - n // 2))
+        np.matmul(_hadamard(n // 2) @ x, _hadamard(n - n // 2), out=x)
+        return
     flat = a.reshape(-1)
     # two lanes of a radix-4 step, or one of a radix-2 step
     scratch = np.empty(min(2 * _CHUNK, flat.size // 2), dtype=a.dtype)
@@ -54,6 +69,16 @@ def fwht_inplace(a: np.ndarray) -> None:
         h *= 4
     if h < size:
         _pass(flat.reshape(-1, 2, h), scratch, _radix2)
+
+
+@lru_cache(maxsize=None)
+def _hadamard(p: int) -> np.ndarray:
+    """The 2^p x 2^p Sylvester-Hadamard matrix, entry (i, j) = (-1)^|i & j|."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(p):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
 
 
 def _pass(groups: np.ndarray, scratch: np.ndarray, butterfly) -> None:

@@ -355,6 +355,79 @@ def test_filter_rejects_wrong_input_size():
         filter_a2(make_set(12, [1, 2, 3]), plan, full_set(12))
 
 
+def _route_sizes(n):
+    """The sizes m = floor(2^(n/2)) and m + 1 on either side of the route
+    threshold m^2 <= 2^n of the pairwise stages."""
+    edge = math.isqrt(1 << n)
+    assert edge**2 <= 1 << n < (edge + 1) ** 2
+    return edge, edge + 1
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
+    transformed = []
+    monkeypatch.setattr(
+        construction, "autocorrelation",
+        lambda s: transformed.append(s.card) or autocorrelation(s),
+    )
+    rng = SplitMix64(n)
+    a0 = random_set(n, 1 << (n - 1), rng)
+    pts = a0.points()
+    # a random half of the group rejects the samples, the group without
+    # one point accepts them
+    for d in (random_set(n, 1 << (n - 1), rng), ~make_set(n, [3])):
+        for m in _route_sizes(n):
+            plan = _stage_plan(a0, Fraction(1, 4), Fraction(1, 4 * m))
+            assert plan.target_a1_size == m
+            sd = plan.sigma.denominator
+            for seed in range(3):
+                chosen = pts[SplitMix64(seed).sample(len(pts), m)]
+                brute = sum(1 for x in chosen for y in chosen if int(x ^ y) in d)
+                transformed.clear()
+                if brute * sd >= plan.pair_rhs:
+                    stage = refine_a1(a0, plan, d, SplitMix64(seed), max_trials=1)
+                    assert stage.a1 == make_set(n, chosen)
+                    assert stage.pairs_in_d == brute
+                else:
+                    with pytest.raises(RetryExhausted) as exc:
+                        refine_a1(a0, plan, d, SplitMix64(seed), max_trials=1)
+                    assert exc.value.best_deficit == plan.pair_rhs - brute * sd
+                assert transformed == ([m] if m * m > 1 << n else [])
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
+    seen = []  # (route, counts) of every call
+    gather, transform = construction.xor_member_counts, construction.xor_pair_counts
+    monkeypatch.setattr(
+        construction, "xor_member_counts",
+        lambda *args: seen.append(("gather", gather(*args))) or seen[-1][1],
+    )
+    monkeypatch.setattr(
+        construction, "xor_pair_counts",
+        lambda *args: seen.append(("transform", transform(*args))) or seen[-1][1],
+    )
+    rng = SplitMix64(n + 10)
+    for m in _route_sizes(n):
+        a1 = make_set(n, rng.sample(1 << n, m))
+        pts = a1.point_list()
+        plan = _stage_plan(a1, Fraction(1, 4), Fraction(1, 4 * m))
+        # every sum popular, then one sum x + y of A_1 left out of D
+        for d in (full_set(n), ~make_set(n, [pts[1] ^ pts[-2]])):
+            brute = [sum(1 for y in pts if (x ^ y) in d) for x in pts]
+            seen.clear()
+            a2 = filter_a2(a1, plan, d)
+            assert a2 == make_set(n, [x for x, k in zip(pts, brute) if k == m])
+            assert len(seen) == 1
+            route, counts = seen[0]
+            if m * m > 1 << n:
+                assert route == "transform"
+                counts = counts[pts]
+            else:
+                assert route == "gather"
+            assert counts.tolist() == brute
+
+
 # ---------------------------------------------------------------------------
 # containment and the closed-form bound
 # ---------------------------------------------------------------------------
@@ -369,6 +442,33 @@ def test_verify_containment_cases():
     assert not verify_containment(make_set(4, [0, 5]), d)
     with pytest.raises(ValueError):
         verify_containment(make_set(3, [0]), d)
+
+
+def test_verify_containment_rejects_a_single_missing_pair_sum():
+    # A_2 = V + {w} with V = span(e_0..e_9) and w = e_10: the pair sums
+    # are V (pairs inside V), 0 (the diagonal) and each point of w + V
+    # exactly once, as w + v
+    n, k = 11, 10
+    v = linear_subspace(n, [1 << i for i in range(k)])
+    w = 1 << k
+    a2 = make_set(n, v.point_list() + [w])
+    pts = a2.point_list()
+    assert pts[-1] == w
+    sums = v | v.translate(w)
+    assert verify_containment(a2, sums)
+    # the rows take more than one block, so the first and the last point
+    # lie in different blocks
+    assert construction._CONTAINMENT_BLOCK // len(pts) < len(pts) - 1
+    for missing, case in (
+        (0, "diagonal"),
+        (w ^ pts[-2], "pair inside the last row block"),
+        (w ^ pts[0], "pair straddling the first and the last block"),
+    ):
+        assert missing in sums
+        assert not verify_containment(a2, sums & ~make_set(n, [missing])), case
+    # a single point needs 0 in D and nothing else
+    assert not verify_containment(make_set(n, [w]), ~make_set(n, [0]))
+    assert verify_containment(make_set(n, [w]), make_set(n, [0]))
 
 
 def test_theorem_bound_dyadic_values():
@@ -579,6 +679,22 @@ def test_verify_replay_runs_no_more_trials_than_recorded(monkeypatch):
             verify_certificate(bad)
         assert exc.value.check == "replay"
         assert len(calls) == expected_calls
+
+
+def test_verify_runs_the_containment_check_once(monkeypatch):
+    calls = []
+    check = construction.verify_containment
+    monkeypatch.setattr(
+        construction, "verify_containment", lambda *args: calls.append(1) or check(*args)
+    )
+    for a, c in (
+        (random_set(12, 2048, SplitMix64(3)), Fraction(1, 8)),
+        (random_set(5, 2, SplitMix64(2)), Fraction(1, 2)),  # trivial plan
+    ):
+        cert = construct_popular_sumset(a, c, seed=1)
+        calls.clear()
+        verify_certificate(cert)
+        assert len(calls) == 1
 
 
 def test_certificate_seed_must_be_a_64_bit_integer():

@@ -73,6 +73,18 @@ def test_translate_involution_and_cardinality():
             assert moved.translate(t) == a
 
 
+def test_translate_matches_pointwise_xor():
+    # n >= 13 views the bits as several rows, n = 19 as more than one
+    # 64-row block; t moves the low bits, the high bits or both
+    rng = SplitMix64(31)
+    for n in (1, 5, 12, 13, 19):
+        a = random_set(n, rng.below((1 << n) + 1), rng)
+        pts = a.points()
+        top = (1 << n) - 1
+        for t in {0, 1, top, top >> 1, top ^ 1, 1 << (n - 1), rng.below(1 << n)}:
+            assert np.array_equal(a.translate(t).points(), np.sort(pts ^ t))
+
+
 def test_set_algebra():
     rng = SplitMix64(9)
     a = random_set(6, 30, rng)
