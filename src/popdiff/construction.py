@@ -12,10 +12,12 @@ A_2 is looked up in D_c(A), with no transform and no sumset built.  The
 verifier runs that check once, on the stored A_2, and its replay does not
 repeat it.
 
-The three pairwise stages (intersection acceptance, subsample, filter)
-share one route rule for a set of m points: gather the m^2 pairwise XORs
-when m^2 <= 2^n, otherwise count through one exact Walsh-Hadamard
-transform.  Both routes give the same integer counts.
+The pairwise stages count the sums of a set of m points in D either by
+gathering the m^2 pairwise XORs or through exact Walsh-Hadamard
+transforms; both routes give the same integer counts.  The intersection
+acceptance gathers when m^2 <= 2^n.  The subsample and the filter gather
+while that is the cheaper route (``_gathers``): m^2 <= 5 t 2^n for a
+transform route of t full-length transforms.
 
 Exact forms used throughout (alpha = |A| / 2^n, sigma = sn/sd in lowest
 terms, all stated over the normalized counting measure and then cleared of
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -319,12 +321,21 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
     return out, translates
 
 
-def _gathers(card: int, n: int) -> bool:
-    """Route rule of the three pairwise stages on a set S of ``card``
-    points in F_2^n: gather the |S|^2 pairwise XORs when |S|^2 <= 2^n (at
-    most 2^n lookups, with a temporary no larger than one int64 vector of
-    length 2^n), otherwise run the Walsh-Hadamard transform."""
-    return card * card <= 1 << n
+# One Walsh-Hadamard transform of 2^n entries costs as much as gathering
+# 5 to 7 * 2^n pairwise XORs into a membership vector of length 2^n: the
+# routes of refine_a1 and filter_a2 cross at m^2 = 11..15 * 2^n and
+# 14..22 * 2^n (n = 16..22, 2-vCPU Xeon, numpy 2.4).  The rule takes the
+# low end.
+_LOOKUPS_PER_TRANSFORM = 5
+
+
+def _gathers(card: int, n: int, transforms: int) -> bool:
+    """Route rule of ``refine_a1`` and ``filter_a2`` for ``card`` points
+    in F_2^n whose transform route runs ``transforms`` full-length
+    transforms: gather the card^2 pairwise XORs when that is the cheaper
+    route, card^2 <= 5 * transforms * 2^n.  The gather's temporary is
+    512 * card int64 indices (``xor_member_counts``)."""
+    return card * card <= _LOOKUPS_PER_TRANSFORM * transforms << n
 
 
 @dataclass(frozen=True)
@@ -340,15 +351,16 @@ def lemma_accept(
     """Exact acceptance test for one intersection trial under ``plan``.
 
     S counts the ordered pairs of A' whose sum lies outside d = D_c(A).
-    On the gather route (``_gathers``) it is |A'|^2 minus the pairs
-    gathered inside d; otherwise it is the autocorrelation of A' summed
-    over the complement of d.  The decision inequality is evaluated in
-    big-integer arithmetic with no rounding anywhere.
+    When |A'|^2 <= 2^n it is |A'|^2 minus the pairs gathered inside d
+    (at most 2^n lookups, with a temporary no larger than one int64
+    vector of length 2^n); otherwise it is the autocorrelation of A'
+    summed over the complement of d.  The decision inequality is
+    evaluated in big-integer arithmetic with no rounding anywhere.
     """
     if (a.n, a.card) != (plan.n, plan.card_a):
         raise ValueError("the plan was made for a set of another dimension or size")
     pairs = a_prime.card**2
-    if _gathers(a_prime.card, a_prime.n):
+    if pairs <= a_prime.size:
         s_count = pairs - int(xor_member_counts(a_prime.points(), d.bits).sum())
     else:
         s_count = int(autocorrelation(a_prime).counts[d.bits == 0].sum())
@@ -419,8 +431,9 @@ def refine_a1(
     popular: sd * pairs >= (sd - 2 sn) * m^2, checked exactly.
 
     The pair count is gathered from the m^2 pairwise XORs in row blocks
-    or, on the transform route (``_gathers``), is the autocorrelation of
-    the sample summed over D; both are the same exact integer.
+    or, when the transform is cheaper (``_gathers``), is the
+    autocorrelation of the sample summed over D; both are the same exact
+    integer.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -431,7 +444,7 @@ def refine_a1(
     if len(pts) < m:
         raise PlanInfeasible(f"|A_0| = {len(pts)} is below the target size {m}")
     sd = plan.sigma.denominator
-    gather = _gathers(m, a0.n)
+    gather = _gathers(m, a0.n, transforms=2)
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
         chosen = pts[rng.sample(len(pts), m)]
@@ -455,8 +468,9 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     of A_1, so membership literally means x + A_1 lies inside D; that set
     inclusion and the counting bound |A_2| >= ceil(|A_1| / 2) are both
     asserted outright, since they are theorems given an accepted A_1.
-    The count of x is gathered from x + A_1 or, on the transform route
-    (``_gathers``), read off the exact XOR pair counts of A_1 and D at x.
+    The count of x is gathered from x + A_1 or, when the transform is
+    cheaper (``_gathers``), read off the exact XOR pair counts of A_1 and
+    D at x.
     """
     m = plan.target_a1_size
     pts = a1.points()
@@ -465,7 +479,7 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     if 3 * sn * m >= sd:
         raise PlanInfeasible("3 * sigma * |A_1| must stay below 1")
-    if _gathers(m, a1.n):
+    if _gathers(m, a1.n, transforms=3):
         counts = xor_member_counts(pts, d.bits)
     else:
         counts = xor_pair_counts(a1.bits, d.bits)[pts]
@@ -780,7 +794,7 @@ def _construct(
     cert = _run_pipeline(a, c, seed, budgets, d)
     if not verify_containment(cert.a2, d):
         raise SoundnessError("independent containment check failed")
-    return cert
+    return replace(cert, verified=True)
 
 
 def _run_pipeline(
@@ -794,9 +808,10 @@ def _run_pipeline(
     """The construction stages after argument checks (|A| >= 1,
     0 < c < 1), given d = D_c(A).  The stages run at most ``limits``
     trials (by default the budgets); the certificate records the budgets.
-    The containment check is left to the caller: ``_construct`` runs it
-    before issuing, and ``verify_certificate`` runs it once, on the
-    certificate it checks, before it replays."""
+    The containment check is left to the caller, so the certificate
+    comes back with ``verified=False``: ``_construct`` runs the check
+    before it sets the flag and issues, and ``verify_certificate`` runs it
+    once, on the certificate it checks, before it replays."""
     plan = choose_sigma(a.n, a.card, c)
     rng = SplitMix64(seed)
     limits = limits or budgets
@@ -831,7 +846,7 @@ def _run_pipeline(
         a1=a1,
         a2=a2,
         stats=stats,
-        verified=True,
+        verified=False,
         guarantee_met=a2.card >= plan.guarantee,
     )
 
@@ -889,7 +904,9 @@ def verify_certificate(cert: Certificate) -> None:
         replay = _run_pipeline(a, cert.c, cert.seed, cert.budgets, d, _replay_limits(cert))
     except (RetryExhausted, DegenerateInput, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
-    if replay.dumps() != cert.dumps():
+    # the containment check above passed on this A_2 and d, and a replay
+    # with the certificate's bytes has them too
+    if replace(replay, verified=True).dumps() != cert.dumps():
         raise VerificationError("replay", "replayed certificate differs")
 
 

@@ -355,11 +355,15 @@ def test_filter_rejects_wrong_input_size():
         filter_a2(make_set(12, [1, 2, 3]), plan, full_set(12))
 
 
-def _route_sizes(n):
-    """The sizes m = floor(2^(n/2)) and m + 1 on either side of the route
-    threshold m^2 <= 2^n of the pairwise stages."""
-    edge = math.isqrt(1 << n)
-    assert edge**2 <= 1 << n < (edge + 1) ** 2
+def _gather_limit(n, transforms):
+    """The route threshold of refine_a1 and filter_a2: they gather while
+    m^2 <= 5 * transforms * 2^n."""
+    return 5 * transforms << n
+
+
+def _route_sizes(n, transforms):
+    """The sizes m and m + 1 on either side of the route threshold."""
+    edge = math.isqrt(_gather_limit(n, transforms))
     return edge, edge + 1
 
 
@@ -376,7 +380,7 @@ def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
     # a random half of the group rejects the samples, the group without
     # one point accepts them
     for d in (random_set(n, 1 << (n - 1), rng), ~make_set(n, [3])):
-        for m in _route_sizes(n):
+        for m in _route_sizes(n, 2):
             plan = _stage_plan(a0, Fraction(1, 4), Fraction(1, 4 * m))
             assert plan.target_a1_size == m
             sd = plan.sigma.denominator
@@ -392,7 +396,7 @@ def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
                     with pytest.raises(RetryExhausted) as exc:
                         refine_a1(a0, plan, d, SplitMix64(seed), max_trials=1)
                     assert exc.value.best_deficit == plan.pair_rhs - brute * sd
-                assert transformed == ([m] if m * m > 1 << n else [])
+                assert transformed == ([m] if m * m > _gather_limit(n, 2) else [])
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -408,7 +412,7 @@ def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
         lambda *args: seen.append(("transform", transform(*args))) or seen[-1][1],
     )
     rng = SplitMix64(n + 10)
-    for m in _route_sizes(n):
+    for m in _route_sizes(n, 3):
         a1 = make_set(n, rng.sample(1 << n, m))
         pts = a1.point_list()
         plan = _stage_plan(a1, Fraction(1, 4), Fraction(1, 4 * m))
@@ -420,7 +424,7 @@ def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
             assert a2 == make_set(n, [x for x, k in zip(pts, brute) if k == m])
             assert len(seen) == 1
             route, counts = seen[0]
-            if m * m > 1 << n:
+            if m * m > _gather_limit(n, 3):
                 assert route == "transform"
                 counts = counts[pts]
             else:
@@ -728,6 +732,17 @@ def test_verify_catches_seed_edit_via_replay():
     a = random_set(12, 2048, SplitMix64(5))
     cert = construct_popular_sumset(a, Fraction(1, 8), seed=2)
     bad = Certificate.from_json_obj(_tampered_obj(cert, lambda o: o.update(seed=3)))
+    with pytest.raises(VerificationError) as exc:
+        verify_certificate(bad)
+    assert exc.value.check == "replay"
+
+
+def test_verify_catches_a_cleared_verified_flag_via_replay():
+    # the replay is marked verified once the containment check has passed,
+    # so a stored False differs from it
+    a = random_set(12, 2048, SplitMix64(5))
+    cert = construct_popular_sumset(a, Fraction(1, 8), seed=2)
+    bad = Certificate.from_json_obj(_tampered_obj(cert, lambda o: o.update(verified=False)))
     with pytest.raises(VerificationError) as exc:
         verify_certificate(bad)
     assert exc.value.check == "replay"
