@@ -14,10 +14,12 @@ repeat it.
 
 The pairwise stages count the sums of a set of m points in D either by
 gathering the m^2 pairwise XORs or through exact Walsh-Hadamard
-transforms; both routes give the same integer counts.  The intersection
-acceptance gathers when m^2 <= 2^n.  The subsample and the filter gather
-while that is the cheaper route (``_gathers``): m^2 <= 5 t 2^n for a
-transform route of t full-length transforms.
+transforms; both routes give the same integer counts.  One rule picks the
+route of every stage (``_gathers``): gather while that is the cheaper
+route, m^2 <= 5 t 2^n for a transform route of t full-length transforms.
+The intersection acceptance and the subsample count their pairs in D
+with one helper (``_pairs_in``, t = 2); the filter needs a count per
+point (t = 3).
 
 Exact forms used throughout (alpha = |A| / 2^n, sigma = sn/sd in lowest
 terms, all stated over the normalized counting measure and then cleared of
@@ -330,12 +332,23 @@ _LOOKUPS_PER_TRANSFORM = 5
 
 
 def _gathers(card: int, n: int, transforms: int) -> bool:
-    """Route rule of ``refine_a1`` and ``filter_a2`` for ``card`` points
-    in F_2^n whose transform route runs ``transforms`` full-length
-    transforms: gather the card^2 pairwise XORs when that is the cheaper
-    route, card^2 <= 5 * transforms * 2^n.  The gather's temporary is
+    """Route rule of every pairwise stage (``lemma_accept``,
+    ``refine_a1``, ``filter_a2``) for ``card`` points in F_2^n whose
+    transform route runs ``transforms`` full-length transforms: gather
+    the card^2 pairwise XORs when that is the cheaper route,
+    card^2 <= 5 * transforms * 2^n.  The gather's temporary is
     512 * card int64 indices (``xor_member_counts``)."""
     return card * card <= _LOOKUPS_PER_TRANSFORM * transforms << n
+
+
+def _pairs_in(x: DenseSet, d: DenseSet) -> int:
+    """Number of ordered pairs of X whose sum lies in D: gathered from
+    the |X|^2 pairwise XORs while ``_gathers`` (the two transforms of an
+    autocorrelation) holds, otherwise the autocorrelation of X summed
+    over D; both are the same exact integer."""
+    if _gathers(x.card, x.n, transforms=2):
+        return int(xor_member_counts(x.points(), d.bits).sum())
+    return int(autocorrelation(x).counts.sum(where=d.bits != 0))
 
 
 @dataclass(frozen=True)
@@ -350,20 +363,15 @@ def lemma_accept(
 ) -> LemmaOutcome:
     """Exact acceptance test for one intersection trial under ``plan``.
 
-    S counts the ordered pairs of A' whose sum lies outside d = D_c(A).
-    When |A'|^2 <= 2^n it is |A'|^2 minus the pairs gathered inside d
-    (at most 2^n lookups, with a temporary no larger than one int64
-    vector of length 2^n); otherwise it is the autocorrelation of A'
-    summed over the complement of d.  The decision inequality is
-    evaluated in big-integer arithmetic with no rounding anywhere.
+    S counts the ordered pairs of A' whose sum lies outside d = D_c(A):
+    |A'|^2 minus the pairs inside d (``_pairs_in``).  The decision
+    inequality is evaluated in big-integer arithmetic with no rounding
+    anywhere.
     """
     if (a.n, a.card) != (plan.n, plan.card_a):
         raise ValueError("the plan was made for a set of another dimension or size")
     pairs = a_prime.card**2
-    if pairs <= a_prime.size:
-        s_count = pairs - int(xor_member_counts(a_prime.points(), d.bits).sum())
-    else:
-        s_count = int(autocorrelation(a_prime).counts[d.bits == 0].sum())
+    s_count = pairs - _pairs_in(a_prime, d)
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     lhs = (sn * pairs - sd * s_count) << plan.lemma_shift
     return LemmaOutcome(
@@ -430,10 +438,7 @@ def refine_a1(
     """Uniform m-subset of A_0, resampled until almost all pair sums are
     popular: sd * pairs >= (sd - 2 sn) * m^2, checked exactly.
 
-    The pair count is gathered from the m^2 pairwise XORs in row blocks
-    or, when the transform is cheaper (``_gathers``), is the
-    autocorrelation of the sample summed over D; both are the same exact
-    integer.
+    The pair count is ``_pairs_in`` of the sample.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -444,17 +449,12 @@ def refine_a1(
     if len(pts) < m:
         raise PlanInfeasible(f"|A_0| = {len(pts)} is below the target size {m}")
     sd = plan.sigma.denominator
-    gather = _gathers(m, a0.n, transforms=2)
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
-        chosen = pts[rng.sample(len(pts), m)]
-        if gather:
-            pairs = int(xor_member_counts(chosen, d.bits).sum())
-        else:
-            counts = autocorrelation(make_set(a0.n, chosen)).counts
-            pairs = int(counts.sum(where=d.bits != 0))
+        a1 = make_set(a0.n, pts[rng.sample(len(pts), m)])
+        pairs = _pairs_in(a1, d)
         if pairs * sd >= plan.pair_rhs:
-            return RefineStage(make_set(a0.n, chosen), pairs, trial)
+            return RefineStage(a1, pairs, trial)
         deficit = plan.pair_rhs - pairs * sd
         if best_deficit is None or deficit < best_deficit:
             best_deficit = deficit
@@ -702,6 +702,12 @@ class Certificate:
             guarantee=int(plan_obj["guarantee"]),
             trivial=bool(plan_obj["trivial"]),
         )
+        # lemma_rhs = sn * |A|^(2r) has at least 2r(bit_length(|A|) - 1) + 1
+        # bits when sn >= 1 (every plan's sigma); refusing a shorter stored
+        # value before the power keeps parsing from growing with r
+        card_bits = input_set.card.bit_length() - 1
+        if 2 * plan.r * card_bits + 1 > int(plan_obj["lemma_rhs"]).bit_length():
+            raise ValueError("plan r is too large for the stored lemma_rhs")
         seed = int(obj["seed"])
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")

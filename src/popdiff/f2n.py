@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import walsh
 from .rng import SplitMix64
 
 MAX_DIM = 30
@@ -165,11 +164,6 @@ class DenseSet:
         self._check_same_dim(other)
         return bool((self.bits <= other.bits).all())
 
-    def mask_int(self) -> int:
-        """Membership vector packed into one Python integer (bit i = index i)."""
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
-        return int.from_bytes(packed, "little")
-
 
 def make_set(n: int, points) -> DenseSet:
     """Set containing exactly the given points (an array or a sequence of
@@ -206,22 +200,14 @@ def random_set(n: int, cardinality: int, rng: SplitMix64) -> DenseSet:
     return make_set(n, rng.sample(size, cardinality))
 
 
-def sumset(a: DenseSet, b: DenseSet, method: str = "auto") -> DenseSet:
-    """The sumset {x + y : x in A, y in B}, i.e. the support of the
-    XOR pair-count vector of A and B.
+def sumset(a: DenseSet, b: DenseSet) -> DenseSet:
+    """The sumset {x + y : x in A, y in B}, marked from all |A||B|
+    pairwise XORs.
 
-    ``method`` picks the route: "naive" marks all |A||B| pairwise XORs,
-    "fwht" takes the support of the exact transform-based pair counts.
-    Both routes are exact and must agree; "auto" chooses by cost.
+    A naive oracle with no transform: the support of the XOR pair counts
+    of A and B (``walsh.xor_pair_counts``) is the same set.
     """
     a._check_same_dim(b)
-    if method == "auto":
-        method = "fwht" if a.card * b.card > a.size * max(a.n, 1) else "naive"
-    if method == "fwht":
-        counts = walsh.xor_pair_counts(a.bits, b.bits)
-        return DenseSet._wrap(a.n, (counts > 0).astype(np.uint8))
-    if method != "naive":
-        raise ValueError(f"unknown sumset method {method!r}")
     out = np.zeros(a.size, dtype=np.uint8)
     pa = a.points()
     pb = b.points()

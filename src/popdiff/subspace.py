@@ -61,9 +61,6 @@ class SubspaceBasis:
     def cardinality(self) -> int:
         return 1 << self.dim
 
-    def span_points(self) -> list[int]:
-        return linear_subspace(self.n, self.vectors).point_list()
-
 
 @dataclass(frozen=True)
 class MaxSubspaceResult:

@@ -232,8 +232,8 @@ def test_lemma_accept_s_count_matches_brute_force(monkeypatch):
     brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
     assert out.s_count == brute
 
-    # both routes, on either side of the threshold |A'|^2 <= 2^n: the
-    # pair gather below it, the autocorrelation above it
+    # both routes, on either side of the one route threshold: the pair
+    # gather up to it, the autocorrelation above it
     transformed = []
     monkeypatch.setattr(
         construction, "autocorrelation",
@@ -243,8 +243,7 @@ def test_lemma_accept_s_count_matches_brute_force(monkeypatch):
         a = random_set(n, 1 << (n - 1), rng)
         d = popular_difference_set(a, Fraction(1, 4))
         plan = _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2)
-        edge = math.isqrt(1 << n)  # floor(2^(n/2))
-        for size in (0, 1, edge, edge + 1, 3 * edge):
+        for size in (0, 1, *_route_sizes(n, 2)):
             a_prime = make_set(n, rng.sample(1 << n, size))
             pts = a_prime.point_list()
             brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
@@ -253,7 +252,7 @@ def test_lemma_accept_s_count_matches_brute_force(monkeypatch):
             assert out.s_count == brute
             lhs = (size**2 - plan.sigma.denominator * brute) << plan.lemma_shift
             assert out.deficit == plan.lemma_rhs - lhs
-            assert transformed == ([size] if size**2 > 1 << n else [])
+            assert transformed == ([size] if size**2 > _gather_limit(n, 2) else [])
 
 
 def test_find_lemma_set_full_group_first_trial():
@@ -356,7 +355,7 @@ def test_filter_rejects_wrong_input_size():
 
 
 def _gather_limit(n, transforms):
-    """The route threshold of refine_a1 and filter_a2: they gather while
+    """The route threshold of every pairwise stage: it gathers while
     m^2 <= 5 * transforms * 2^n."""
     return 5 * transforms << n
 
@@ -437,7 +436,7 @@ def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_containment_cases():
+def test_verify_containment_point_subspace_pair_and_mismatch():
     d = make_set(4, [0, 3])
     assert verify_containment(make_set(4, [0]), d)
     v = linear_subspace(4, [1, 2])

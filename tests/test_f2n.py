@@ -20,6 +20,7 @@ from popdiff.f2n import (
     xor_member_counts,
 )
 from popdiff.rng import SplitMix64
+from popdiff.walsh import xor_pair_counts
 
 
 def test_make_set_examples():
@@ -115,6 +116,11 @@ def test_sumset_identities():
     assert sumset(v, v) == v  # subspaces are closed under addition
 
 
+def _pair_count_support(a, b):
+    # the transform route to the sumset: the support of the XOR pair counts
+    return DenseSet(a.n, xor_pair_counts(a.bits, b.bits) > 0)
+
+
 def test_sumset_routes_agree_exhaustively_small():
     for n in (1, 2, 3):
         size = 1 << n
@@ -122,7 +128,7 @@ def test_sumset_routes_agree_exhaustively_small():
                 for m in range(1 << size)]
         for a in sets:
             for b in sets:
-                assert sumset(a, b, "naive") == sumset(a, b, "fwht")
+                assert sumset(a, b) == _pair_count_support(a, b)
 
 
 def test_sumset_routes_agree_random_n10():
@@ -130,7 +136,7 @@ def test_sumset_routes_agree_random_n10():
     for _ in range(100):
         a = random_set(10, rng.below(1025), rng)
         b = random_set(10, rng.below(1025), rng)
-        assert sumset(a, b, "naive") == sumset(a, b, "fwht")
+        assert sumset(a, b) == _pair_count_support(a, b)
 
 
 def test_xor_member_counts_matches_double_loop():
@@ -221,14 +227,6 @@ def test_f2set_roundtrip_bit_exact(tmp_path):
 def test_f2set_rejections(text):
     with pytest.raises(ValueError):
         f2set_loads(text)
-
-
-def test_mask_int_matches_membership():
-    rng = SplitMix64(47)
-    a = random_set(5, 13, rng)
-    m = a.mask_int()
-    for i in range(32):
-        assert ((m >> i) & 1) == (1 if i in a else 0)
 
 
 def test_operations_do_not_mutate_inputs():

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popdiff.construction import Budgets, Certificate, CertStats, ConstructionPlan
-from popdiff.f2n import f2set_dumps, f2set_loads
+from popdiff.construction import (
+    Budgets,
+    Certificate,
+    CertStats,
+    ConstructionPlan,
+    construct_popular_sumset,
+)
+from popdiff.f2n import f2set_dumps, f2set_loads, random_set
+from popdiff.rng import SplitMix64
 
 from conftest import canonical_json, set_from_mask
 
@@ -110,3 +117,15 @@ def test_certificate_roundtrip(cert):
 def test_certificate_loads_rejects_other_text_with_value_error(text):
     with pytest.raises(ValueError):
         Certificate.loads(text)
+
+
+def test_certificate_with_a_huge_r_is_rejected_before_the_power():
+    # |A|^(2r) at r = 10^9 would be an integer of about 2.7 GB; the parse
+    # must refuse the claimed r from the stored lemma_rhs's length first
+    a = random_set(12, 1 << 11, SplitMix64(7))
+    text = construct_popular_sumset(a, Fraction(1, 16), seed=7).dumps()
+    assert Certificate.loads(text).dumps() == text
+    obj = json.loads(text)
+    obj["plan"]["r"] = 10**9
+    with pytest.raises(ValueError, match="too large"):
+        Certificate.loads(canonical_json(obj))
