@@ -152,9 +152,10 @@ def cmd_gen(args) -> int:
 def cmd_dcset(args) -> int:
     a = f2n.read_set(args.input)
     ac = correlation.autocorrelation(a)
-    print(ac.threshold_report(args.c).describe())
+    report = ac.threshold_report(args.c)
+    print(report.describe())
     if args.out:
-        f2n.write_set(ac.popular_set(args.c), args.out)
+        f2n.write_set(report.popular, args.out)
         print(f"wrote {args.out}")
     if args.counts_csv:
         ac.write_csv(args.counts_csv)

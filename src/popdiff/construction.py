@@ -244,10 +244,14 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
     min of the stage-rule bound floor(c.den^r / (2 c.num^r)) and the size
     restriction (largest k passing ``restrict_holds``); candidates whose k
     belongs to a different r are skipped, since they recur at their true r
-    with at least as large a k.  When no candidate reaches guarantee 1
-    (the typical outcome of alpha <= c at small n, where the closed-form
-    bound is 0 anyway) the plan is flagged trivial and the caller falls
-    back to the singleton {0}.
+    with at least as large a k.  The search stops at the first r where
+    the size restriction falls below 8 (it never grows with r) or reaches
+    the stage-rule bound (every later candidate belongs to an earlier r),
+    so its length does not grow as c nears 1 unless alpha does too; the
+    powers of c.num, c.den and |A| are kept running.  When no candidate
+    reaches guarantee 1 (the typical outcome of alpha <= c at small n,
+    where the closed-form bound is 0 anyway) the plan is flagged trivial
+    and the caller falls back to the singleton {0}.
     """
     n = _check_dim(n)
     c = Fraction(c)
@@ -258,24 +262,30 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
 
     best: tuple[int, int, int] | None = None  # (guarantee, r, k)
     cn, cd = c.numerator, c.denominator
-    # safe cutoff: past the least r with c^r <= 2^(-2n) the size
-    # restriction admits no useful sigma
-    r_max = 1
-    while cn**r_max << (2 * n) > cd**r_max:
-        r_max += 1
-    for r in range(1, r_max + 1):
-        k_rule = cd**r // (2 * cn**r)
-        k_size = math.isqrt((card_a ** (2 * r) - 1) >> _lemma_shift(n, r)) + 1
+    cn_r, cd_r, card_2r = 1, 1, 1  # cn^r, cd^r and |A|^(2r), kept running
+    k_rule_prev = 0  # the stage-rule bound at r - 1; 0 at r = 0
+    r = 0
+    while True:
+        r += 1
+        cn_r, cd_r, card_2r = cn_r * cn, cd_r * cd, card_2r * card_a * card_a
+        k_rule = cd_r // (2 * cn_r)
+        k_size = math.isqrt((card_2r - 1) >> _lemma_shift(n, r)) + 1
+        if k_size < 8:
+            # k_size never grows with r (it is constant when |A| = 2^n), so
+            # no later r reaches guarantee floor(floor(k/4)/2) >= 1 either
+            break
         k = min(k_rule, k_size)
-        if k < 8:
-            continue  # guarantee floor(floor(k/4)/2) would be 0
-        if lemma_r(Fraction(1, k), c) != r:
-            continue
-        if not restrict_holds(n, card_a, r, k):
-            raise SoundnessError("size-restriction bound computed incorrectly")
-        guarantee = (k // 4) // 2
-        if best is None or guarantee > best[0]:
-            best = (guarantee, r, k)
+        # lemma_r(1/k, c) is the least r with k <= k_rule(r), and k_rule
+        # never falls, so k belongs to this r exactly when k > k_rule(r - 1)
+        if k >= 8 and k > k_rule_prev:
+            guarantee = (k // 4) // 2
+            if best is None or guarantee > best[0]:
+                best = (guarantee, r, k)
+        if k_rule >= k_size:
+            # from here on k = k_size <= k_rule(r): every later candidate
+            # belongs to an earlier r.  This also ends the loop at |A| = 2^n.
+            break
+        k_rule_prev = k_rule
 
     if best is None:
         sigma = Fraction(1, 1)
@@ -292,6 +302,8 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
         return plan
 
     guarantee, r, k = best
+    if not restrict_holds(n, card_a, r, k):
+        raise SoundnessError("size-restriction bound computed incorrectly")
     plan = ConstructionPlan(
         n=n,
         card_a=card_a,

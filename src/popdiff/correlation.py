@@ -15,7 +15,7 @@ near a threshold.  D_0(A) is the support of N_A, i.e. the sumset A + A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,7 +72,8 @@ class Autocorrelation:
         return Fraction(c.numerator * card * card, c.denominator << self.n)
 
     def threshold_report(self, c: Fraction | int) -> "DcReport":
-        """Exact summary of D_c(A) and the count threshold deciding it."""
+        """Exact summary of D_c(A), with the set, and the count threshold
+        deciding it."""
         c = Fraction(c)
         thr = self.count_threshold(c)
         return DcReport(
@@ -80,7 +81,7 @@ class Autocorrelation:
             c=c,
             alpha=Fraction(self.card, self.size),
             card_a=self.card,
-            card_d=self.popular_set(c).card,
+            popular=self.popular_set(c),
             count_threshold=thr,
             min_count=int(thr) + 1,
         )
@@ -123,9 +124,13 @@ class DcReport:
     c: Fraction
     alpha: Fraction
     card_a: int
-    card_d: int
+    popular: DenseSet = field(repr=False)  # D_c(A) itself
     count_threshold: Fraction  # counts qualify iff strictly above this
     min_count: int  # least integer count that qualifies
+
+    @property
+    def card_d(self) -> int:
+        return self.popular.card
 
     def describe(self) -> str:
         return (

@@ -1,11 +1,13 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
+from popdiff.correlation import Autocorrelation, popular_difference_set
 from popdiff.f2n import f2set_dumps, f2set_loads, linear_subspace, make_set, read_set, sumset, write_set
 
 from conftest import NON_CANONICAL_EDITS, canonical_json
@@ -61,6 +63,22 @@ def test_dcset_subspace_closed_form(tmp_path):
     d_path = tmp_path / "D.set"
     assert run("dcset", str(v_path), "--c", "1/2", "--out", str(d_path)) == 0
     assert read_set(d_path) == read_set(v_path)
+
+
+def test_dcset_thresholds_once(tmp_path, capsys, monkeypatch):
+    a_path = tmp_path / "A.set"
+    run("gen", "--n", "8", "--family", "random", "--card", "100", "--seed", "5",
+        "--out", str(a_path))
+    calls = []
+    popular_set = Autocorrelation.popular_set
+    monkeypatch.setattr(Autocorrelation, "popular_set",
+                        lambda self, c: calls.append(c) or popular_set(self, c))
+    d_path = tmp_path / "D.set"
+    assert run("dcset", str(a_path), "--c", "1/4", "--out", str(d_path)) == 0
+    assert len(calls) == 1
+    d = read_set(d_path)
+    assert d == popular_difference_set(read_set(a_path), Fraction(1, 4))
+    assert f"|D|={d.card}\n" in capsys.readouterr().out
 
 
 def test_dcset_rejects_floats(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -148,6 +149,50 @@ def test_choose_sigma_guarantee_dominates_closed_form_on_dyadic_grid():
             plan = choose_sigma(n, 1 << (n - 1), c)
             bound = theorem_bound(n, Fraction(1, 2), c)
             assert plan.guarantee >= bound or bound <= 1, (n, c)
+
+
+def _full_loop_plan(n, card, c):
+    """(guarantee, r, k) of the best candidate by the plain search over
+    every r up to the least r with c^r <= 2^(-2n), or None: the search
+    choose_sigma made before it stopped early and kept running powers."""
+    best = None
+    cn, cd = c.numerator, c.denominator
+    r_max = 1
+    while cn**r_max << (2 * n) > cd**r_max:
+        r_max += 1
+    for r in range(1, r_max + 1):
+        k_size = math.isqrt((card ** (2 * r) - 1) >> (2 * n * (r - 1) + 1)) + 1
+        k = min(cd**r // (2 * cn**r), k_size)
+        if k < 8 or lemma_r(Fraction(1, k), c) != r:
+            continue
+        if best is None or (k // 4) // 2 > best[0]:
+            best = ((k // 4) // 2, r, k)
+    return best
+
+
+def test_choose_sigma_matches_the_full_search():
+    grid = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+            Fraction(2, 3), Fraction(3, 4), Fraction(7, 8)]
+    for n in range(1, 11):
+        for card in range(1, (1 << n) + 1):
+            for c in grid:
+                plan = choose_sigma(n, card, c)
+                best = _full_loop_plan(n, card, c)
+                if best is None:
+                    assert plan.trivial, (n, card, c)
+                else:
+                    got = (plan.guarantee, plan.r, plan.sigma.denominator)
+                    assert not plan.trivial and got == best, (n, card, c)
+
+
+@pytest.mark.parametrize("card", [1, 1 << 15])
+def test_choose_sigma_is_fast_as_c_nears_one(card):
+    # the full search runs r up to about 2n ln 2 / (1 - c), over 22,000
+    # stages here, each with an |A|^(2r) of up to 700,000 bits
+    start = time.perf_counter()
+    plan = choose_sigma(16, card, Fraction(999, 1000))
+    assert time.perf_counter() - start < 1.0
+    plan.validate()
 
 
 def test_choose_sigma_domain_errors():

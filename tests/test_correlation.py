@@ -133,6 +133,77 @@ def test_fwht_of_a_signed_spectrum_product(n):
     assert np.array_equal(_fwht(spectrum), reference_fwht(spectrum.copy()))
 
 
+@pytest.mark.parametrize("n", range(1, 23))
+def test_float64_fwht_matches_radix2_reference(n):
+    # up to n = 16 one row fits the scratch and the factors alternate
+    # between the two; from n = 17 on, factors are applied block by block
+    # and those with a slab over the scratch take column ranges
+    gen = np.random.default_rng(300 + n)
+    v = gen.integers(-3, 4, size=1 << n, dtype=np.int64)
+    assert np.array_equal(_fwht(v.astype(np.float64)), reference_fwht(v))
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 12, 13, 16, 17])
+def test_float64_fwht_batched_matches_radix2_reference(n):
+    gen = np.random.default_rng(400 + n)
+    batch = gen.integers(0, 2, size=(5, 1 << n)).astype(np.int64)
+    out = _fwht(batch.astype(np.float64))
+    assert np.array_equal(out, reference_fwht(batch.copy()))
+    for row in range(len(batch)):
+        assert np.array_equal(out[row], _fwht(batch[row].astype(np.float64)))
+
+
+def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
+    n = 21
+    gen = np.random.default_rng(521)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    spectrum = _fwht(ind_a.astype(np.float64)) * _fwht(ind_b.astype(np.float64))
+    assert (spectrum < 0).any() and (spectrum > 0).any()
+    exact = reference_fwht(spectrum.astype(np.int64))
+    assert np.array_equal(_fwht(spectrum), exact)
+
+    dtypes = []
+    transform = walsh.fwht_inplace
+    monkeypatch.setattr(walsh, "fwht_inplace", lambda a: (dtypes.append(a.dtype), transform(a)))
+    assert np.array_equal(walsh.xor_pair_counts(ind_a, ind_b), exact >> n)
+    assert dtypes == [np.float64] * 3
+
+
+def test_transform_dtype_route():
+    # float64 holds the inverse-transform bound 4^n exactly up to n = 26
+    assert walsh._work_dtype(1) is np.float64
+    assert walsh._work_dtype(26) is np.float64
+    assert walsh._work_dtype(27) is np.int64
+    assert walsh._work_dtype(30) is np.int64
+
+
+@pytest.mark.parametrize("n", [3, 8, 17])
+def test_int64_route_of_xor_pair_counts_matches_float64(monkeypatch, n):
+    gen = np.random.default_rng(600 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    by_float = walsh.xor_pair_counts(ind_a), walsh.xor_pair_counts(ind_a, ind_b)
+    monkeypatch.setattr(walsh, "_FLOAT_MAX_N", 0)
+    assert walsh._work_dtype(n) is np.int64
+    by_int = walsh.xor_pair_counts(ind_a), walsh.xor_pair_counts(ind_a, ind_b)
+    for fast, slow in zip(by_float, by_int):
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+    assert np.array_equal(by_int[0], limb_xor_pair_counts(ind_a))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_scaled_counts_rejects_non_counts(dtype):
+    # the last entry sits in the second block of the post-pass
+    n = 17
+    good = np.arange(1 << n, dtype=np.int64) << n
+    assert np.array_equal(walsh._scaled_counts(good.astype(dtype), n), np.arange(1 << n))
+    for bad in (-(1 << n), 1, 1 << (n - 1), (3 << n) + 1):
+        f = good.astype(dtype)
+        f[-1] = bad
+        with pytest.raises(AssertionError):
+            walsh._scaled_counts(f, n)
+
+
 def test_fwht_rejects_bad_shapes():
     with pytest.raises(ValueError):
         walsh.fwht_inplace(np.zeros(12, dtype=np.int64))
