@@ -270,11 +270,12 @@ def niveau_set(n: int, weight_threshold: int) -> DenseSet:
 
 
 def f2set_dumps(s: DenseSet) -> str:
-    bits = s.bits
-    if bits.size % 4:
-        bits = np.concatenate([bits, np.zeros(4 - bits.size % 4, dtype=np.uint8)])
-    nibbles = bits.reshape(-1, 4) @ np.array([1, 2, 4, 8], dtype=np.uint8)
-    payload = _HEX_DIGITS[nibbles].tobytes().decode("ascii")
+    # byte b holds bits 8b..8b+7; its low nibble is character 2b
+    packed = np.packbits(s.bits, bitorder="little")
+    nibbles = np.empty(2 * packed.size, dtype=np.uint8)
+    np.bitwise_and(packed, 15, out=nibbles[0::2])
+    np.right_shift(packed, 4, out=nibbles[1::2])
+    payload = _HEX_DIGITS[nibbles[: max(1, s.bits.size // 4)]].tobytes().decode("ascii")
     return f"F2SET v1 n={s.n}\n{payload}\n"
 
 
@@ -299,11 +300,14 @@ def f2set_loads(text: str) -> DenseSet:
     values = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
     if (values == 255).any():
         raise ValueError("payload contains characters outside lowercase hex")
-    bits = (values[:, None] >> np.arange(4, dtype=np.uint8)[None, :]) & 1
-    bits = bits.reshape(-1).astype(np.uint8)
+    if values.size % 2:  # one character (n <= 2): a zero high nibble
+        values = np.append(values, np.uint8(0))
+    values[1::2] <<= 4
+    values[1::2] |= values[0::2]
+    bits = np.unpackbits(values[1::2], bitorder="little")
     if bits[size:].any():
         raise ValueError("padding bits beyond 2^n must be zero")
-    return DenseSet._wrap(n, np.ascontiguousarray(bits[:size]))
+    return DenseSet._wrap(n, bits[:size])
 
 
 def write_set(s: DenseSet, path) -> None:

@@ -17,7 +17,10 @@ Draw procedures:
 ``below`` call at a time, but it consumes the same stream: word t after
 state s is mix(s + t * gamma) mod 2^64, and the vector rejection rule is
 the scalar one, so the picks and the state afterwards are exactly those
-of k scalar ``below`` calls.
+of k scalar ``below`` calls.  Nor does it run the Fisher-Yates pass
+step by step: ``_resolve_swaps`` reads which value every step outputs
+from one in-place sort of packed (target, step) keys, in O(k log k) time
+and a few k-word arrays of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_DRAW_BLOCK = 1 << 16  # steps per vector draw in sample(); bounds its temporaries
+_DRAW_BLOCK = 1 << 16  # steps per vector pass in sample(); bounds its temporaries
 
 
 def _words(state: int, count: int) -> np.ndarray:
@@ -100,9 +103,9 @@ class SplitMix64:
 
         Partial Fisher-Yates over an implicit identity array: step i
         draws j_i = i + below(universe - i), outputs the value in slot
-        j_i and moves the value of slot i there.  Cost is O(k log k)
-        regardless of universe size.  Returns int64, or uint64 when
-        universe exceeds 2^63.
+        j_i and moves the value of slot i there (``_resolve_swaps``).
+        Cost is O(k log k) regardless of universe size.  Returns int64,
+        or uint64 when universe exceeds 2^63.
         """
         if not 0 <= k <= universe:
             raise ValueError(f"cannot sample {k} items from {universe}")
@@ -116,46 +119,88 @@ class SplitMix64:
             bounds = np.uint64(universe & _MASK64) - steps
             targets[start : start + len(steps)] = steps + self._below_many(bounds)
         picked = _resolve_swaps(targets)
-        picked.sort()
         return picked.view(np.int64) if universe <= 1 << 63 else picked
 
 
 def _resolve_swaps(j: np.ndarray) -> np.ndarray:
-    """The values the Fisher-Yates pass with targets ``j`` outputs, in
-    step order; overwrites ``j``.
+    """The set the Fisher-Yates pass with targets ``j`` picks, sorted
+    ascending; the array ``j`` becomes the result.
 
-    Step i outputs the value in slot j_i: the value the previous step
-    with the same target moved there, or j_i itself.  Step i moves the
-    value of slot i, V(i): V of the last earlier step whose target was
-    i, or i itself.  Both lookups come from one stable sort by target;
-    V follows its chains by pointer doubling.  Each k-length intermediate
-    is dropped once spent, so the peak stays at a few of them (k = 2^21
-    for a half-density set at n = 22).
+    Step i outputs the value in slot j_i: j_i itself if no earlier step
+    targeted j_i, else V of the last earlier step that did, where V(s) is
+    the value in slot s when step s runs (the value step s moves to its
+    target).  V(s) is s unless an earlier step targeted slot s; then it is
+    V of the last such step, which is earlier than s.
+
+    Both lookups come from one in-place sort of the packed keys
+    ``j_i << bit_length(k) | i``, written over ``j``: the keys are unique,
+    so any sort, stable or not, orders them the same way, into runs of
+    equal targets in step order.  The first step of a run outputs its
+    target; every later one outputs V of the step before it in the run.
+    The last step t of each run whose target s is below k links V(s) to
+    V(t); V follows these links to a step no earlier step targeted, by
+    pointer doubling over the linked slots only.  The outputs overwrite
+    the keys, last block first, so each block still sees the key before
+    it, and a second in-place sort orders them.
+    Beside ``j`` the peak holds one k-entry int64 array for V and a few
+    shorter ones: about 3.1 k-words in all, ``j`` included, at
+    universe = 2k, and 4.3 at universe = k.
+
+    A target too wide to share a uint64 with a step index (universe above
+    2^(64 - bit_length(k))) is replaced by its rank among the targets
+    first, which keeps equality and order, and mapped back when read.
     """
     k = len(j)
-    order = np.argsort(j, kind="stable")
-    sorted_j = j[order]
-    # prev[i]: the last earlier step with target j_i, or -1
-    prev = np.full(k, -1, dtype=np.int64)
-    dup = np.flatnonzero(sorted_j[1:] == sorted_j[:-1])
-    prev[order[dup + 1]] = order[dup]
-    del dup
-    # origin[i]: the last step targeting i, or i itself.  That step is
-    # earlier than i unless it is i; then V(i) is never read, because the
-    # value it moves stays in slot i and later steps target higher slots.
-    steps = np.arange(k, dtype=np.uint64)
-    last = np.searchsorted(sorted_j, steps, side="right")
-    last -= 1
-    hit = sorted_j[last] == steps  # last = -1 reads the largest target, > i
-    del sorted_j, steps
-    origin = np.arange(k, dtype=np.int64)
-    origin[hit] = order[last[hit]]
-    del order, last, hit
+    if not k:
+        return j
+    shift = k.bit_length()
+    low, step_mask = np.uint64(shift), np.uint64((1 << shift) - 1)
+    ranked = None
+    if int(j.max()) >> (64 - shift):
+        ranked, ranks = np.unique(j, return_inverse=True)
+        j[:] = ranks
+        del ranks
+    bound = k if ranked is None else np.count_nonzero(ranked < k)
+
+    def targets(keys: np.ndarray) -> np.ndarray:
+        packed = keys >> low
+        return packed if ranked is None else ranked[packed]
+
+    for start in range(0, k, _DRAW_BLOCK):
+        block = j[start : start + _DRAW_BLOCK]
+        block <<= low
+        block |= np.arange(start, start + len(block), dtype=np.uint64)
+    j.sort()
+    # the keys with a target below k are a prefix; the last step of each
+    # of its runs gives V(target) = V(step)
+    head = j[: np.count_nonzero(j < np.uint64(bound << shift))]
+    ends = np.ones(len(head), dtype=bool)
+    np.greater(head[1:] ^ head[:-1], step_mask, out=ends[:-1])
+    head = head[ends]
+    del ends
+    slots = targets(head).view(np.int64)
+    links = (head & step_mask).view(np.int64)
+    del head
+    # a run that ends in its own slot's step links that slot to itself,
+    # which leaves V of it wrong but unread: no later step targets it
+    values = np.arange(k)  # V
+    values[slots] = links
     while True:
-        nxt = origin[origin]
-        if np.array_equal(nxt, origin):
+        jumped = values[links]
+        moving = jumped != links
+        if not moving.any():
             break
-        origin = nxt
-    moved = np.flatnonzero(prev >= 0)
-    j[moved] = origin[prev[moved]]
+        slots, links = slots[moving], jumped[moving]
+        values[slots] = links
+    del slots, links, jumped, moving
+    first = targets(j[:1])
+    for end in range(k, 1, -_DRAW_BLOCK):
+        start = max(1, end - _DRAW_BLOCK)
+        keys, before = j[start:end], j[start - 1 : end - 1]
+        repeats = (keys ^ before) <= step_mask
+        moved = values[(before[repeats] & step_mask).view(np.int64)]
+        keys[:] = targets(keys)
+        keys[repeats] = moved
+    j[0] = first[0]
+    j.sort()
     return j

@@ -1,9 +1,13 @@
 """SplitMix64 against published outputs and the scalar sampling loop."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from popdiff import rng as rng_module
+from popdiff.cli import main
 from popdiff.rng import SplitMix64
 
 from conftest import reference_sample
@@ -20,6 +24,9 @@ def test_known_answers_seed_zero():
     [
         (1, 0), (1, 1), (10, 0), (10, 10), (7, 3), (1001, 999), (4097, 2048),
         (3**20, 500), (2**63 + 12345, 200), (2**64 - 1, 100), (2**64, 200), (2**64, 1),
+        # k near the universe gives the longest chains of V links
+        (2**14, 2**14), (2**14 + 1, 2**14), (2**15 + 1, 2**15), (3 * 2**15, 2**15),
+        (2**16, 2**16), (2**17, 2**16),
     ],
 )
 def test_sample_matches_scalar_loop_and_stream_position(universe, k):
@@ -81,3 +88,70 @@ def test_sample_mixes_few_words_beyond_those_it_consumes(monkeypatch):
     assert fast.next_u64() == slow.next_u64()
     assert slow.words > 1.8 * k  # the case is rejection-heavy
     assert sum(mixed) <= 4 * slow.words
+
+
+def _swap_loop(targets: list[int]) -> list[int]:
+    """The sorted outputs of Fisher-Yates steps with the given targets."""
+    slots: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        out.append(slots.get(j, j))
+        slots[j] = slots.get(i, i)
+    return sorted(out)
+
+
+def test_resolve_swaps_ranks_wide_targets_with_repeats():
+    # targets too wide to pack beside a step index, repeated, mixed with
+    # targets below k: random 2^64 draws almost never repeat one
+    draws = SplitMix64(3)
+    for _ in range(400):
+        k = 1 + draws.below(40)
+        wide = [2**64 - 1 - draws.below(3) for _ in range(3)] + [(1 << 64 - k.bit_length()) + draws.below(5)]
+        targets: list[int] = []
+        for i in range(k):
+            kind = draws.below(4)
+            if kind == 0:
+                targets.append(wide[draws.below(len(wide))])
+            elif kind == 1:
+                targets.append(i + draws.below(k - i + 2))
+            elif kind == 2 and targets:
+                targets.append(max(i, targets[draws.below(len(targets))]))
+            else:
+                targets.append(i)
+        got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
+        assert got.tolist() == _swap_loop(targets), targets
+
+
+def test_resolve_swaps_crafted_cases():
+    cases = [
+        [0], [5], [2**64 - 1], [1, 1], [2**64 - 1, 2**64 - 1], [1, 2, 3, 3],
+        [3, 3, 3, 3], [2**63, 2**63, 2, 2**63 + 1, 2**63], [1, 2, 2, 2**64 - 1, 2**64 - 1],
+    ]
+    for targets in cases:
+        got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
+        assert got.tolist() == _swap_loop(targets), targets
+
+
+@pytest.mark.parametrize(
+    "n, seed, digest",
+    [
+        (22, 1, "cc34574cd137d3558d5fc6b112b2ac746d629fdb05ba060f65a1f564ef1ae0f4"),
+        (20, 2, "2f4bfa6f4df9c28c18aea51d57fe035f25668b6ec9648e1055b6516f2c6351b1"),
+    ],
+)
+def test_gen_random_half_density_golden_digest(tmp_path, n, seed, digest):
+    out = tmp_path / "A.set"
+    assert main(["gen", "--n", str(n), "--family", "random", "--alpha", "1/2",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sample_peak_memory_is_a_few_words_per_pick():
+    k = 1 << 19
+    tracemalloc.start()
+    try:
+        SplitMix64(5).sample(1 << 20, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * k
