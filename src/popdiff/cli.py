@@ -24,7 +24,6 @@ from .construction import (
     BoundaryAmbiguous,
     Budgets,
     Certificate,
-    DegenerateInput,
     RetryExhausted,
     VerificationError,
 )
@@ -292,16 +291,14 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
             row["theorem_bound"] = ""
         try:
             # |A| >= 1 and 0 < c < 1 hold here; the construction reuses d
-            cert = construction._construct(a, c, cell_seed, budgets, d)
-            row["guarantee"] = cert.plan.guarantee
+            plan = construction.choose_sigma(n, a.card, c)
+            cert = construction._construct(a, plan, cell_seed, budgets, d)
+            row["guarantee"] = plan.guarantee
             row["achieved"] = cert.a2.card
             row["success"] = "true"
         except RetryExhausted as exc:
             row["success"] = "false"
             row["reason"] = f"retry exhausted at stage {exc.stage}"
-        except DegenerateInput as exc:
-            row["success"] = "false"
-            row["reason"] = str(exc)
         if row["guarantee"] != "" and row["theorem_bound"] != "":
             row["bound_ok"] = "true" if row["guarantee"] >= row["theorem_bound"] else "false"
     else:
@@ -310,6 +307,17 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
 
 
 def cmd_sweep(args) -> int:
+    # a grid is checked whole before any cell runs or the CSV is opened
+    for n in args.n:
+        if not 1 <= n <= f2n.MAX_DIM:
+            raise _UsageError(f"sweep dimension n={n} is outside [1, {f2n.MAX_DIM}]")
+    for alpha in args.alpha:
+        if not 0 <= alpha <= 1:
+            raise _UsageError(f"sweep density alpha={alpha} is outside [0, 1]")
+    if args.seeds < 1:
+        raise _UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     budgets = Budgets(args.lemma_trials, args.refine_trials)
     config_key = json.dumps(
         {
@@ -378,7 +386,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ValueError, DegenerateInput, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

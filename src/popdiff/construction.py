@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -789,7 +790,10 @@ def construct_popular_sumset(
     including) 1 are admitted with ``exploratory=True``.  On a trivial
     plan (alpha <= c, or no sigma reaches guarantee 1) the construction
     falls back to the singleton {0}, which is always valid since
-    c * alpha < 1 for c < 1.
+    c * alpha < 1 for c < 1.  A plan whose certificate could not be
+    written, because its ``lemma_rhs`` has more decimal digits than
+    Python converts to text (``sys.get_int_max_str_digits()``), raises
+    PlanInfeasible before any stage runs.
     """
     c = Fraction(c)
     if a.card == 0:
@@ -800,16 +804,34 @@ def construct_popular_sumset(
         raise ValueError(
             f"c = {c} exceeds 1/2; pass exploratory=True to run anyway"
         )
-    return _construct(a, c, seed, budgets, popular_difference_set(a, c))
+    plan = choose_sigma(a.n, a.card, c)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # lemma_rhs is by far the largest number a certificate holds
+    if limit and plan.lemma_rhs >= 10**limit:
+        raise PlanInfeasible(
+            f"the plan's lemma_rhs has {_decimal_digits(plan.lemma_rhs)} decimal digits, "
+            f"more than the {limit} that Python converts to text, so the "
+            f"certificate cannot be written (see sys.set_int_max_str_digits)"
+        )
+    return _construct(a, plan, seed, budgets, popular_difference_set(a, c))
+
+
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of x >= 1, without writing x as text."""
+    digits = (x.bit_length() - 1) * 1233 >> 12  # 1233 / 4096 < log10(2)
+    while 10**digits <= x:
+        digits += 1
+    return digits
 
 
 def _construct(
-    a: DenseSet, c: Fraction, seed: int, budgets: Budgets, d: DenseSet
+    a: DenseSet, plan: ConstructionPlan, seed: int, budgets: Budgets, d: DenseSet
 ) -> Certificate:
     """The pipeline, then the independent containment check that must
     pass before its certificate is issued; for callers that have checked
-    the arguments (|A| >= 1, 0 < c < 1) and hold d = D_c(A)."""
-    cert = _run_pipeline(a, c, seed, budgets, d)
+    the arguments (|A| >= 1, 0 < c < 1) and hold plan =
+    choose_sigma(n, |A|, c) and d = D_c(A)."""
+    cert = _run_pipeline(a, plan, seed, budgets, d)
     if not verify_containment(cert.a2, d):
         raise SoundnessError("independent containment check failed")
     return replace(cert, verified=True)
@@ -817,26 +839,25 @@ def _construct(
 
 def _run_pipeline(
     a: DenseSet,
-    c: Fraction,
+    plan: ConstructionPlan,
     seed: int,
     budgets: Budgets,
     d: DenseSet,
     limits: Budgets | None = None,
 ) -> Certificate:
     """The construction stages after argument checks (|A| >= 1,
-    0 < c < 1), given d = D_c(A).  The stages run at most ``limits``
-    trials (by default the budgets); the certificate records the budgets.
-    The containment check is left to the caller, so the certificate
-    comes back with ``verified=False``: ``_construct`` runs the check
-    before it sets the flag and issues, and ``verify_certificate`` runs it
-    once, on the certificate it checks, before it replays."""
-    plan = choose_sigma(a.n, a.card, c)
+    0 < c < 1), given plan = choose_sigma(n, |A|, c) and d = D_c(A).
+    The stages run at most ``limits`` trials (by default the budgets);
+    the certificate records the budgets.  The containment check is left
+    to the caller, so the certificate comes back with ``verified=False``:
+    ``_construct`` runs the check before it sets the flag and issues, and
+    ``verify_certificate`` runs it once, on the certificate it checks,
+    before it replays."""
     rng = SplitMix64(seed)
     limits = limits or budgets
 
     if plan.trivial:
-        if not d.bits[0]:
-            raise DegenerateInput("popular difference set is empty")
+        # 0 is in D_c(A) for c < 1: N_A(0) = |A| > c|A|^2 / 2^n
         a2 = make_set(a.n, [0])
         translates, a0, a1 = (), None, None
         stats = CertStats(None, None, None, None, None, a2.card)
@@ -855,7 +876,7 @@ def _run_pipeline(
         )
     return Certificate(
         input_set=a.copy(),
-        c=c,
+        c=plan.c,
         seed=seed,
         budgets=budgets,
         plan=plan,
@@ -917,10 +938,11 @@ def verify_certificate(cert: Certificate) -> None:
             )
 
     # the plan check above already enforced what construct_popular_sumset
-    # checks of its arguments (|A| >= 1 and 0 < c < 1)
+    # checks of its arguments (|A| >= 1 and 0 < c < 1), and that the
+    # stored plan is the one choose_sigma derives
     try:
-        replay = _run_pipeline(a, cert.c, cert.seed, cert.budgets, d, _replay_limits(cert))
-    except (RetryExhausted, DegenerateInput, ValueError) as exc:
+        replay = _run_pipeline(a, cert.plan, cert.seed, cert.budgets, d, _replay_limits(cert))
+    except (RetryExhausted, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
     # the containment check above passed on this A_2 and d, and a replay
     # with the certificate's bytes has them too

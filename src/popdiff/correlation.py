@@ -60,9 +60,6 @@ class Autocorrelation:
             raise ValueError(f"parameter c must be non-negative, got {c}")
         card = self.card
         thr = (c.numerator * card * card) // (c.denominator << self.n)
-        if thr >= card:
-            # no count can exceed |A|, so the set is empty
-            return DenseSet(self.n)
         return DenseSet._wrap(self.n, (self.counts > thr).astype(np.uint8))
 
     def count_threshold(self, c: Fraction | int) -> Fraction:

@@ -10,8 +10,9 @@ Draw procedures:
 
 * ``below(m)``: uniform integer in [0, m) by rejection from the top of
   the 64-bit range (never biased, never rejects when m is a power of 2).
-* ``sample(u, k)``: uniform k-element subset of range(u) via a sparse
-  partial Fisher-Yates pass; returned sorted.
+* ``sample(u, k)``: uniform k-element subset of range(u), u <= 2^31, via
+  a sparse partial Fisher-Yates pass; returned sorted.  Every caller
+  samples inside F_2^n with n <= 30.
 
 ``sample`` draws its words as numpy uint64 vectors rather than one
 ``below`` call at a time, but it consumes the same stream: word t after
@@ -32,6 +33,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _DRAW_BLOCK = 1 << 16  # steps per vector pass in sample(); bounds its temporaries
+_MAX_UNIVERSE = 1 << 31  # a target and a step index share one uint64
 
 
 def _words(state: int, count: int) -> np.ndarray:
@@ -75,12 +77,10 @@ class SplitMix64:
                 return u % bound
 
     def _below_many(self, bounds: np.ndarray) -> np.ndarray:
-        """``below(b)`` for each b in ``bounds``, in order, as one vector
-        draw; a bound of 0 stands for 2^64 (never rejects)."""
-        wraps = bounds == 0
-        divisors = np.where(wraps, np.uint64(1), bounds)
+        """``below(b)`` for each positive uint64 b in ``bounds``, in order,
+        as one vector draw."""
         # below() accepts u iff u < 2^64 - (2^64 mod b), i.e. u <= ~(2^64 mod b)
-        accept_max = ~(-bounds % divisors)
+        accept_max = ~(-bounds % bounds)
         words = np.empty_like(bounds)
         done, window = 0, len(bounds)
         while done < len(bounds):
@@ -96,30 +96,29 @@ class SplitMix64:
             self._state = (self._state + used * _GAMMA) & _MASK64
             done += take
             window = 2 * take + 1
-        return np.where(wraps, words, words % divisors)
+        words %= bounds
+        return words
 
     def sample(self, universe: int, k: int) -> np.ndarray:
-        """Uniform k-subset of range(universe), sorted ascending.
+        """Uniform k-subset of range(universe), sorted ascending, as int64;
+        requires 0 <= k <= universe <= 2^31.
 
         Partial Fisher-Yates over an implicit identity array: step i
         draws j_i = i + below(universe - i), outputs the value in slot
         j_i and moves the value of slot i there (``_resolve_swaps``).
-        Cost is O(k log k) regardless of universe size.  Returns int64,
-        or uint64 when universe exceeds 2^63.
+        Cost is O(k log k) regardless of universe size.
         """
-        if not 0 <= k <= universe:
-            raise ValueError(f"cannot sample {k} items from {universe}")
-        if k and universe > 1 << 64:
-            raise ValueError("bound exceeds the 64-bit draw range")
-        # all arithmetic stays uint64 (mixing in int64 would give float64);
-        # a bound of 2^64 wraps to 0
+        if not 0 <= k <= universe <= _MAX_UNIVERSE:
+            raise ValueError(
+                f"cannot sample {k} items from {universe} (need 0 <= k <= universe <= 2^31)"
+            )
+        # all arithmetic stays uint64 (mixing in int64 would give float64)
         targets = np.empty(k, dtype=np.uint64)
         for start in range(0, k, _DRAW_BLOCK):
             steps = np.arange(start, min(start + _DRAW_BLOCK, k), dtype=np.uint64)
-            bounds = np.uint64(universe & _MASK64) - steps
+            bounds = np.uint64(universe) - steps
             targets[start : start + len(steps)] = steps + self._below_many(bounds)
-        picked = _resolve_swaps(targets)
-        return picked.view(np.int64) if universe <= 1 << 63 else picked
+        return _resolve_swaps(targets).view(np.int64)
 
 
 def _resolve_swaps(j: np.ndarray) -> np.ndarray:
@@ -146,26 +145,14 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     shorter ones: about 3.1 k-words in all, ``j`` included, at
     universe = 2k, and 4.3 at universe = k.
 
-    A target too wide to share a uint64 with a step index (universe above
-    2^(64 - bit_length(k))) is replaced by its rank among the targets
-    first, which keeps equality and order, and mapped back when read.
+    Targets must be below 2^31 (``sample``'s bound on the universe), so a
+    target and a step index, at most 32 bits, fit in one uint64 key.
     """
     k = len(j)
     if not k:
         return j
     shift = k.bit_length()
     low, step_mask = np.uint64(shift), np.uint64((1 << shift) - 1)
-    ranked = None
-    if int(j.max()) >> (64 - shift):
-        ranked, ranks = np.unique(j, return_inverse=True)
-        j[:] = ranks
-        del ranks
-    bound = k if ranked is None else np.count_nonzero(ranked < k)
-
-    def targets(keys: np.ndarray) -> np.ndarray:
-        packed = keys >> low
-        return packed if ranked is None else ranked[packed]
-
     for start in range(0, k, _DRAW_BLOCK):
         block = j[start : start + _DRAW_BLOCK]
         block <<= low
@@ -173,12 +160,12 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     j.sort()
     # the keys with a target below k are a prefix; the last step of each
     # of its runs gives V(target) = V(step)
-    head = j[: np.count_nonzero(j < np.uint64(bound << shift))]
+    head = j[: np.count_nonzero(j < np.uint64(k << shift))]
     ends = np.ones(len(head), dtype=bool)
     np.greater(head[1:] ^ head[:-1], step_mask, out=ends[:-1])
     head = head[ends]
     del ends
-    slots = targets(head).view(np.int64)
+    slots = (head >> low).view(np.int64)
     links = (head & step_mask).view(np.int64)
     del head
     # a run that ends in its own slot's step links that slot to itself,
@@ -193,14 +180,14 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
         slots, links = slots[moving], jumped[moving]
         values[slots] = links
     del slots, links, jumped, moving
-    first = targets(j[:1])
+    first = j[0] >> low
     for end in range(k, 1, -_DRAW_BLOCK):
         start = max(1, end - _DRAW_BLOCK)
         keys, before = j[start:end], j[start - 1 : end - 1]
         repeats = (keys ^ before) <= step_mask
         moved = values[(before[repeats] & step_mask).view(np.int64)]
-        keys[:] = targets(keys)
+        keys >>= low
         keys[repeats] = moved
-    j[0] = first[0]
+    j[0] = first
     j.sort()
     return j

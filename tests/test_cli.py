@@ -1,10 +1,12 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from popdiff import cli, construction
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
 from popdiff.correlation import Autocorrelation, popular_difference_set
@@ -129,6 +131,25 @@ def test_construct_exploratory_gate(tmp_path):
                "--out", str(out)) == 1
     assert run("construct", str(a_path), "--c", "3/4", "--seed", "0",
                "--out", str(out), "--exploratory") == 0
+
+
+def test_construct_exits_one_before_any_stage_when_the_certificate_cannot_be_written(
+        tmp_path, capsys, monkeypatch):
+    a_path = tmp_path / "A.set"
+    run("gen", "--n", "8", "--family", "random", "--card", "255", "--seed", "7",
+        "--out", str(a_path))
+    monkeypatch.setattr(construction, "find_lemma_set", None)  # no stage may run
+    out = tmp_path / "c.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert run("construct", str(a_path), "--c", "99/100", "--exploratory", "--seed", "1",
+                   "--out", str(out)) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert "lemma_rhs has 1993 decimal digits, more than the 1000" in err
+    assert not out.exists()
 
 
 def test_verify_tampered_exit_three(small_cert, tmp_path, capsys):
@@ -296,6 +317,37 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run(*base, "--out", str(serial)) == 0
     assert run(*base, "--jobs", "4", "--out", str(parallel)) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--n", "8", "--alpha", "3/2", "--family", "niveau"],
+        ["--n", "6,31", "--alpha", "1/2"],
+        ["--n", "0", "--alpha", "1/2"],
+        ["--n", "6", "--alpha", "1/2", "--seeds", "0"],
+        ["--n", "6", "--alpha", "1/2", "--jobs", "0"],
+        ["--n", "6", "--alpha", "1/2", "--jobs", "-3"],
+    ],
+    ids=["alpha_above_one", "n_above_30", "n_zero", "no_seeds", "no_jobs", "negative_jobs"],
+)
+def test_sweep_rejects_grids_it_cannot_run(tmp_path, monkeypatch, grid):
+    monkeypatch.setattr(cli, "_sweep_cell", None)  # no cell may run
+    out = tmp_path / "s.csv"
+    assert run("sweep", *grid, "--c", "1/4", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_sweep_keeps_reason_rows_at_alpha_zero_and_c_one(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--n", "4", "--alpha", "0,1", "--c", "1/4,1", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[2], r[-1]) for r in rows] == [
+        ("0", "1/4", "empty set"),
+        ("0", "1", "empty set"),
+        ("1", "1/4", ""),
+        ("1", "1", "construction requires 0 < c < 1"),
+    ]
 
 
 def test_usage_error_exit_one():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -743,6 +744,48 @@ def test_verify_runs_the_containment_check_once(monkeypatch):
         calls.clear()
         verify_certificate(cert)
         assert len(calls) == 1
+
+
+def test_choose_sigma_runs_once_per_construction_and_per_verify(monkeypatch):
+    calls = []
+    choose = construction.choose_sigma
+    monkeypatch.setattr(
+        construction, "choose_sigma", lambda *args: calls.append(1) or choose(*args)
+    )
+    for a, c in (
+        (random_set(12, 2048, SplitMix64(3)), Fraction(1, 8)),
+        (random_set(5, 2, SplitMix64(2)), Fraction(1, 2)),  # trivial plan
+    ):
+        calls.clear()
+        cert = construct_popular_sumset(a, c, seed=1)
+        assert len(calls) == 1
+        calls.clear()
+        verify_certificate(cert)
+        assert len(calls) == 1
+
+
+def test_decimal_digits_matches_the_text_length():
+    values = [1, 9, 10, 11, 99, 100, 2**64 - 1, 2**64, 3**2000]
+    values += [10**e + d for e in (1, 17, 300, 1500) for d in (-1, 0, 1)]
+    for x in values:
+        assert construction._decimal_digits(x) == len(str(x)), x
+
+
+def test_construct_refuses_a_plan_too_long_to_write(monkeypatch):
+    # near-full sets with c close to 1 need r in the hundreds, and
+    # lemma_rhs = |A|^(2r) then has thousands of digits
+    a = random_set(8, 255, SplitMix64(1))
+    c = Fraction(99, 100)
+    digits = len(str(choose_sigma(8, 255, c).lemma_rhs))
+    assert digits == 1993
+    monkeypatch.setattr(construction, "find_lemma_set", None)  # no stage may run
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(PlanInfeasible, match=f"{digits} decimal digits, more than the 1000"):
+            construct_popular_sumset(a, c, seed=0, exploratory=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_certificate_seed_must_be_a_64_bit_integer():

@@ -277,9 +277,11 @@ def test_zero_membership_iff_c_alpha_below_one():
     rng = SplitMix64(7)
     for _ in range(10):
         a = random_set(6, 1 + rng.below(64), rng)
-        for c in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(64, 1)):
+        for c in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(64, 1), Fraction(2**70)):
             d = popular_difference_set(a, c)
             assert (0 in d) == (c * a.density < 1)
+            if c * a.density >= 1:
+                assert d.card == 0  # every count is at most |A| = N_A(0)
 
 
 def test_negative_c_rejected():

@@ -23,7 +23,7 @@ def test_known_answers_seed_zero():
     "universe, k",
     [
         (1, 0), (1, 1), (10, 0), (10, 10), (7, 3), (1001, 999), (4097, 2048),
-        (3**20, 500), (2**63 + 12345, 200), (2**64 - 1, 100), (2**64, 200), (2**64, 1),
+        (3**19, 500), (2**30 + 12345, 200), (2**31 - 1, 100), (2**31, 200), (2**31, 1),
         # k near the universe gives the longest chains of V links
         (2**14, 2**14), (2**14 + 1, 2**14), (2**15 + 1, 2**15), (3 * 2**15, 2**15),
         (2**16, 2**16), (2**17, 2**16),
@@ -41,22 +41,23 @@ def test_sample_matches_scalar_loop_and_stream_position(universe, k):
 
 def test_sample_dtype_and_validation():
     assert SplitMix64(3).sample(1 << 20, 1000).dtype == np.int64
-    # picks above 2^63 need the unsigned dtype; never mixed with int64
-    big = SplitMix64(3).sample(2**64, 50)
-    assert big.dtype == np.uint64 and big.max() >= 2**63
+    top = SplitMix64(3).sample(2**31, 50)
+    assert top.dtype == np.int64 and top.max() >= 2**30
     with pytest.raises(ValueError):
         SplitMix64(0).sample(5, 6)
     with pytest.raises(ValueError):
         SplitMix64(0).sample(5, -1)
     with pytest.raises(ValueError):
-        SplitMix64(0).sample(2**64 + 1, 1)
-    assert SplitMix64(0).sample(2**70, 0).size == 0
+        SplitMix64(0).sample(2**31 + 1, 1)
+    with pytest.raises(ValueError):
+        SplitMix64(0).sample(2**70, 0)
+    assert SplitMix64(0).sample(2**31, 0).size == 0
 
 
 def test_sample_random_shapes_against_scalar_loop():
     shapes = SplitMix64(21)
     for _ in range(200):
-        universe = 1 + shapes.below(1 << (1 + shapes.below(40)))
+        universe = 1 + shapes.below(1 << (1 + shapes.below(31)))
         k = shapes.below(min(universe, 300) + 1)
         seed = shapes.next_u64()
         fast, slow = SplitMix64(seed), SplitMix64(seed)
@@ -78,15 +79,18 @@ class _CountingSplitMix64(SplitMix64):
 
 def test_sample_mixes_few_words_beyond_those_it_consumes(monkeypatch):
     # near 2^63 about half of all words are rejected; each rejection must
-    # not redraw the whole rest of the block
-    universe, k = 2**63 + 12345, 5000
+    # not redraw the whole rest of the block.  sample() draws below bounds
+    # of at most 2^31, which almost never reject, so its vector draw is
+    # checked on its own.
+    bounds = [2**63 + 12345 - i for i in range(5000)]
     mixed = []
     words = rng_module._words
     monkeypatch.setattr(rng_module, "_words", lambda state, count: mixed.append(count) or words(state, count))
     fast, slow = SplitMix64(7), _CountingSplitMix64(7)
-    assert fast.sample(universe, k).tolist() == reference_sample(slow, universe, k)
+    got = fast._below_many(np.array(bounds, dtype=np.uint64))
+    assert got.tolist() == [slow.below(b) for b in bounds]
     assert fast.next_u64() == slow.next_u64()
-    assert slow.words > 1.8 * k  # the case is rejection-heavy
+    assert slow.words > 1.8 * len(bounds)  # the case is rejection-heavy
     assert sum(mixed) <= 4 * slow.words
 
 
@@ -100,18 +104,18 @@ def _swap_loop(targets: list[int]) -> list[int]:
     return sorted(out)
 
 
-def test_resolve_swaps_ranks_wide_targets_with_repeats():
-    # targets too wide to pack beside a step index, repeated, mixed with
-    # targets below k: random 2^64 draws almost never repeat one
+def test_resolve_swaps_repeated_large_targets():
+    # targets near the 2^31 bound, repeated, mixed with targets below k:
+    # random draws from a 2^31 universe almost never repeat one
     draws = SplitMix64(3)
     for _ in range(400):
         k = 1 + draws.below(40)
-        wide = [2**64 - 1 - draws.below(3) for _ in range(3)] + [(1 << 64 - k.bit_length()) + draws.below(5)]
+        large = [2**31 - 1 - draws.below(3) for _ in range(3)] + [2**30 + draws.below(5)]
         targets: list[int] = []
         for i in range(k):
             kind = draws.below(4)
             if kind == 0:
-                targets.append(wide[draws.below(len(wide))])
+                targets.append(large[draws.below(len(large))])
             elif kind == 1:
                 targets.append(i + draws.below(k - i + 2))
             elif kind == 2 and targets:
@@ -124,8 +128,8 @@ def test_resolve_swaps_ranks_wide_targets_with_repeats():
 
 def test_resolve_swaps_crafted_cases():
     cases = [
-        [0], [5], [2**64 - 1], [1, 1], [2**64 - 1, 2**64 - 1], [1, 2, 3, 3],
-        [3, 3, 3, 3], [2**63, 2**63, 2, 2**63 + 1, 2**63], [1, 2, 2, 2**64 - 1, 2**64 - 1],
+        [0], [5], [2**31 - 1], [1, 1], [2**31 - 1, 2**31 - 1], [1, 2, 3, 3],
+        [3, 3, 3, 3], [2**30, 2**30, 2, 2**30 + 1, 2**30], [1, 2, 2, 2**31 - 1, 2**31 - 1],
     ]
     for targets in cases:
         got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
