@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,6 +307,30 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
     return row
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
+    """The rows of ``_sweep_cell(*cell)``, in cell order, from forked
+    worker processes; the first error a cell raises is raised here, after
+    the cells not yet started are cancelled and every worker has exited."""
+    # imported here, so that commands which fork nothing do not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        try:
+            return list(pool.map(_sweep_cell, *zip(*cells)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def cmd_sweep(args) -> int:
     # a grid is checked whole before any cell runs or the CSV is opened
     for n in args.n:
@@ -331,26 +356,17 @@ def cmd_sweep(args) -> int:
         sort_keys=True,
         separators=(",", ":"),
     )
+    grid = itertools.product(args.n, args.alpha, args.c, range(args.seeds))
     cells = [
-        (n, alpha, c, seed_idx)
-        for n in args.n
-        for alpha in args.alpha
-        for c in args.c
-        for seed_idx in range(args.seeds)
+        (n, alpha, c, args.family, seed_idx, _cell_seed(config_key, index),
+         budgets, args.subspace_cap)
+        for index, (n, alpha, c, seed_idx) in enumerate(grid)
     ]
-
-    def run(indexed):
-        index, (n, alpha, c, seed_idx) = indexed
-        return _sweep_cell(
-            n, alpha, c, args.family, seed_idx,
-            _cell_seed(config_key, index), budgets, args.subspace_cap,
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, enumerate(cells)))
+    workers = min(args.jobs, len(cells), _usable_cpus())
+    if workers > 1:
+        rows = _sweep_in_workers(cells, workers)
     else:
-        rows = [run(item) for item in enumerate(cells)]
+        rows = [_sweep_cell(*cell) for cell in cells]
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS, lineterminator="\n")

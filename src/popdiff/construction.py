@@ -83,6 +83,9 @@ class RetryExhausted(RuntimeError):
             f" (best deficit {best_deficit})"
         )
 
+    def __reduce__(self):  # pickle rebuilds it from the fields, not the message
+        return type(self), (self.stage, self.trials, self.best_deficit)
+
 
 class PlanInfeasible(ValueError):
     """The construction plan cannot be executed on the given inputs."""
@@ -107,6 +110,9 @@ class VerificationError(RuntimeError):
         self.check = check
         self.detail = detail
         super().__init__(f"verification check {check!r} failed: {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.check, self.detail)
 
 
 class BoundaryAmbiguous(ValueError):
@@ -946,7 +952,11 @@ def verify_certificate(cert: Certificate) -> None:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
     # the containment check above passed on this A_2 and d, and a replay
     # with the certificate's bytes has them too
-    if replace(replay, verified=True).dumps() != cert.dumps():
+    try:
+        same = replace(replay, verified=True).dumps() == cert.dumps()
+    except ValueError as exc:  # an integer too long for sys.get_int_max_str_digits()
+        raise VerificationError("replay", f"certificate cannot be written: {exc}") from None
+    if not same:
         raise VerificationError("replay", "replayed certificate differs")
 
 

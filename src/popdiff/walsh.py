@@ -28,6 +28,14 @@ Two kernels implement ``fwht_inplace``:
   products over an (L, 2^p, R) view of the array; the partial sums of
   those at factor j are signed sums of distinct input entries (the
   other factors act on the other axes), so the bound above covers them.
+  Arrays of at most 2^16 entries apply each factor as one ``np.matmul``
+  over a batch of products of at most 2^18 multiply-adds each, the size
+  up to which OpenBLAS runs a product on the calling thread alone, so a
+  small transform never wakes BLAS threads, which the sweep's worker
+  processes would oversubscribe.  Cutting a product into products over
+  disjoint rows or columns leaves every output entry the same dot
+  product of a row of H_p with a column of the view, so the partial
+  sums are the same signed subset sums and the bound still covers them.
 * Every other dtype (int64 for n >= 27, and int64 input from any caller)
   takes radix-4 passes: one pass applies the radix-2 stages at strides
   h and 2h to four lanes at once, with the intermediates the radix-2
@@ -41,6 +49,7 @@ of at most 512 KiB, so scratch memory does not grow with 2^n.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -48,6 +57,7 @@ _CHUNK = 1 << 15  # elements per lane in one step of a radix-4 pass
 _BLOCK = 1 << 16  # float64 entries of the matrix-product scratch buffer
 _FACTOR_BITS = 6  # the Hadamard factors have at most 2^6 rows
 _FLOAT_MAX_N = 26  # 4^n <= 2^52: float64 transforms of counts are exact
+_PRODUCT = 1 << 18  # multiply-adds of one product OpenBLAS runs on one thread
 
 
 def fwht_inplace(a: np.ndarray) -> None:
@@ -103,7 +113,7 @@ def _kronecker(flat: np.ndarray, n: int) -> None:
         # two, and only an odd number of factors needs a copy back
         src, dst = flat, np.empty_like(flat)
         for h, shape in _factors(n):
-            _apply(h, src.reshape(shape), dst.reshape(shape))
+            _apply_small(h, src.reshape(shape), dst.reshape(shape))
             src, dst = dst, src
         if src is not flat:
             flat[...] = src
@@ -140,6 +150,26 @@ def _apply(h: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
         np.matmul(x, h, out=out)
     else:
         np.matmul(h, x, out=out)
+
+
+def _apply_small(h: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """``_apply`` as one batch of products of at most _PRODUCT
+    multiply-adds each: runs of b rows of x (L, 2^p), or column ranges of
+    width w of each x[l] (2^p, R).  b and w are powers of two that divide
+    L and R, and the views keep a unit stride for BLAS."""
+    rows = len(h)
+    most = _PRODUCT // (rows * rows)
+    if x.ndim == 2:
+        b = gcd(len(x), most)  # L is 2^k times the leading batch size
+        np.matmul(x.reshape(-1, b, rows), h, out=out.reshape(-1, b, rows))
+    else:
+        slabs, _, inner = x.shape
+        w = min(inner, most)
+
+        def columns(y):
+            return y.reshape(slabs, rows, -1, w).transpose(0, 2, 1, 3)
+
+        np.matmul(h, columns(x), out=columns(out))
 
 
 def _blocks(x: np.ndarray):

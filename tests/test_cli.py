@@ -1,6 +1,9 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import sys
 from fractions import Fraction
 
@@ -312,11 +315,70 @@ def test_sweep_families(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    base = ["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/8", "--seeds", "2"]
+    base = ["sweep", "--n", "6,8,14,16", "--alpha", "1/2", "--c", "1/16,1", "--seeds", "2",
+            "--subspace-cap", "8"]
+    serial = tmp_path / "s.csv"
+    assert run(*base, "--out", str(serial)) == 0
+    for jobs in ("2", "4"):
+        parallel = tmp_path / f"p{jobs}.csv"
+        assert run(*base, "--jobs", jobs, "--out", str(parallel)) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert multiprocessing.active_children() == []
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    runs the cells in this process, so that no process starts."""
+
+    started = []
+
+    def __init__(self, max_workers, mp_context):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *columns):
+        return map(fn, *columns)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize(
+    "jobs, seeds, cpus, workers",
+    [("1000000", "5", 3, 3), ("1000000", "2", 8, 2), ("2", "5", 3, 2), ("4", "5", 1, None)],
+    ids=["cpus", "cells", "jobs", "serial_on_one_cpu"],
+)
+def test_sweep_starts_at_most_one_worker_per_cell_and_cpu(
+        tmp_path, monkeypatch, jobs, seeds, cpus, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(_StubPool, "started", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    base = ["sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", seeds]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert run(*base, "--out", str(serial)) == 0
-    assert run(*base, "--jobs", "4", "--out", str(parallel)) == 0
+    assert run(*base, "--jobs", jobs, "--out", str(parallel)) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    assert _StubPool.started == ([] if workers is None else [workers])
+
+
+def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("no set for this cell")
+
+    monkeypatch.setattr(cli.f2n, "random_set", broken)  # forked workers inherit it
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"{jobs}.csv"
+        code = run("sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/4", "--seeds", "2",
+                   "--jobs", jobs, "--out", str(out))
+        results.append((code, capsys.readouterr().err, out.exists()))
+    assert results[0] == results[1] == (1, "error: no set for this cell\n", False)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

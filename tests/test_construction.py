@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -786,6 +787,37 @@ def test_construct_refuses_a_plan_too_long_to_write(monkeypatch):
             construct_popular_sumset(a, c, seed=0, exploratory=True)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_verify_reports_a_certificate_too_long_to_write_as_a_replay_failure():
+    # _construct (the sweep's route) builds the certificate that
+    # construct_popular_sumset refuses; its lemma_rhs has 1993 digits
+    a = random_set(8, 255, SplitMix64(1))
+    c = Fraction(99, 100)
+    plan = choose_sigma(8, 255, c)
+    cert = construction._construct(a, plan, 0, Budgets(), popular_difference_set(a, c))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(VerificationError, match="cannot be written") as info:
+            verify_certificate(cert)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert info.value.check == "replay"
+    verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RetryExhausted("lemma", 200, 17), RetryExhausted("refine", 5, None),
+     VerificationError("replay", "replayed certificate differs")],
+)
+def test_pipeline_errors_survive_a_pickle_round_trip(exc):
+    # sweep cells run in worker processes, which send their errors back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert back.__dict__ == exc.__dict__
+    assert str(back) == str(exc)
 
 
 def test_certificate_seed_must_be_a_64_bit_integer():

@@ -153,6 +153,26 @@ def test_float64_fwht_batched_matches_radix2_reference(n):
         assert np.array_equal(out[row], _fwht(batch[row].astype(np.float64)))
 
 
+def test_small_float64_transforms_make_single_threaded_blas_products(monkeypatch):
+    # OpenBLAS runs a product of at most 2^18 multiply-adds (M * N * K)
+    # on the calling thread alone, and arrays of at most 2^16 entries
+    # make no larger product
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    shapes = [(1 << n,) for n in range(1, 17)] + [(5, 1 << 13), (4, 1 << 14), (3, 1 << 6)]
+    for shape in shapes:
+        v = np.arange(np.prod(shape), dtype=np.int64).reshape(shape) % 3 - 1
+        products.clear()
+        assert np.array_equal(_fwht(v.astype(np.float64)), _fwht(v)), shape
+        assert products and max(products) <= 1 << 18, shape
+
+
 def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
     n = 21
     gen = np.random.default_rng(521)
