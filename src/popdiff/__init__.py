@@ -58,7 +58,6 @@ from .subspace import (
     SEARCH_DIM_CAP,
     MaxSubspaceResult,
     SubspaceBasis,
-    is_subspace_subset,
     max_subspace_in,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "filter_a2",
     "find_lemma_set",
     "full_set",
-    "is_subspace_subset",
     "lemma_accept",
     "lemma_r",
     "linear_subspace",

@@ -9,8 +9,9 @@ decides *when* a stage succeeds; every acceptance is an exact big-integer
 inequality, and a successful run is re-verified by an independent naive
 containment check before a certificate is issued: every pairwise XOR of
 A_2 is looked up in D_c(A), with no transform and no sumset built.  The
-verifier runs that check once, on the stored A_2, and its replay does not
-repeat it.
+verifier repeats no work: it runs that check once, on the stored A_2,
+and the intersection acceptance once, in the replay of the run, whose
+unpopular-pair count it compares with the stored one.
 
 The pairwise stages count the sums of a set of m points in D either by
 gathering the m^2 pairwise XORs or through exact Walsh-Hadamard
@@ -249,9 +250,10 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
 
     For each stage count r the largest admissible integer k = 1/sigma is
     min of the stage-rule bound floor(c.den^r / (2 c.num^r)) and the size
-    restriction (largest k passing ``restrict_holds``); candidates whose k
-    belongs to a different r are skipped, since they recur at their true r
-    with at least as large a k.  The search stops at the first r where
+    restriction (largest k passing ``restrict_holds``).  A k that belongs
+    to an earlier r (k <= k_rule(r - 1)) is never chosen, since r - 1
+    offers one at least as large and ties keep the earlier r; ``validate``
+    re-checks that k belongs to its r.  The search stops at the first r where
     the size restriction falls below 8 (it never grows with r) or reaches
     the stage-rule bound (every later candidate belongs to an earlier r),
     so its length does not grow as c nears 1 unless alpha does too; the
@@ -270,7 +272,6 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
     best: tuple[int, int, int] | None = None  # (guarantee, r, k)
     cn, cd = c.numerator, c.denominator
     cn_r, cd_r, card_2r = 1, 1, 1  # cn^r, cd^r and |A|^(2r), kept running
-    k_rule_prev = 0  # the stage-rule bound at r - 1; 0 at r = 0
     r = 0
     while True:
         r += 1
@@ -282,9 +283,7 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
             # no later r reaches guarantee floor(floor(k/4)/2) >= 1 either
             break
         k = min(k_rule, k_size)
-        # lemma_r(1/k, c) is the least r with k <= k_rule(r), and k_rule
-        # never falls, so k belongs to this r exactly when k > k_rule(r - 1)
-        if k >= 8 and k > k_rule_prev:
+        if k >= 8:
             guarantee = (k // 4) // 2
             if best is None or guarantee > best[0]:
                 best = (guarantee, r, k)
@@ -292,7 +291,6 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
             # from here on k = k_size <= k_rule(r): every later candidate
             # belongs to an earlier r.  This also ends the loop at |A| = 2^n.
             break
-        k_rule_prev = k_rule
 
     if best is None:
         sigma = Fraction(1, 1)
@@ -309,8 +307,6 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
         return plan
 
     guarantee, r, k = best
-    if not restrict_holds(n, card_a, r, k):
-        raise SoundnessError("size-restriction bound computed incorrectly")
     plan = ConstructionPlan(
         n=n,
         card_a=card_a,
@@ -691,13 +687,24 @@ class Certificate:
         derived field, another JSON type or spelling of a number, and an
         unknown field all fail to parse.
         """
+        return cls._parse(obj, None)
+
+    @classmethod
+    def _parse(cls, obj, text: str | None) -> "Certificate":
+        """The certificate ``obj`` holds, if ``text`` (by default the
+        canonical JSON of ``obj``) is its ``dumps()``; ValueError otherwise.
+        JSON round-trips the canonical object exactly, so a text equal to
+        ``dumps()`` also says that ``obj`` is canonical."""
         try:
             cert = cls._build(obj)
             canonical = cert.dumps()
-            given = _canonical_json(obj)
+            if text is None:
+                text = _canonical_json(obj)
+            elif text != canonical and _canonical_json(obj) == canonical:
+                raise ValueError("the certificate text is not in canonical layout")
         except (KeyError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-        if given != canonical:
+        if text != canonical:
             raise ValueError("the certificate is not the canonical form of the fields it holds")
         return cert
 
@@ -769,11 +776,7 @@ class Certificate:
             obj = json.loads(text)
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
-        cert = cls.from_json_obj(obj)
-        # equal to cert.dumps(), which from_json_obj compared with it
-        if text != _canonical_json(obj):
-            raise ValueError("the certificate text is not in canonical layout")
-        return cert
+        return cls._parse(obj, text)
 
     def write(self, path) -> None:
         Path(path).write_bytes(self.dumps().encode("ascii"))
@@ -844,23 +847,15 @@ def _construct(
 
 
 def _run_pipeline(
-    a: DenseSet,
-    plan: ConstructionPlan,
-    seed: int,
-    budgets: Budgets,
-    d: DenseSet,
-    limits: Budgets | None = None,
+    a: DenseSet, plan: ConstructionPlan, seed: int, budgets: Budgets, d: DenseSet
 ) -> Certificate:
     """The construction stages after argument checks (|A| >= 1,
     0 < c < 1), given plan = choose_sigma(n, |A|, c) and d = D_c(A).
-    The stages run at most ``limits`` trials (by default the budgets);
-    the certificate records the budgets.  The containment check is left
-    to the caller, so the certificate comes back with ``verified=False``:
-    ``_construct`` runs the check before it sets the flag and issues, and
-    ``verify_certificate`` runs it once, on the certificate it checks,
-    before it replays."""
+    The containment check is left to the caller, so the certificate
+    comes back with ``verified=False``: ``_construct`` runs the check
+    before it sets the flag and issues, and ``verify_certificate`` runs
+    it once, on the certificate it checks, before it replays."""
     rng = SplitMix64(seed)
-    limits = limits or budgets
 
     if plan.trivial:
         # 0 is in D_c(A) for c < 1: N_A(0) = |A| > c|A|^2 / 2^n
@@ -868,8 +863,8 @@ def _run_pipeline(
         translates, a0, a1 = (), None, None
         stats = CertStats(None, None, None, None, None, a2.card)
     else:
-        lemma = find_lemma_set(a, plan, d, rng, limits.lemma_trials)
-        refine = refine_a1(lemma.a0, plan, d, rng, limits.refine_trials)
+        lemma = find_lemma_set(a, plan, d, rng, budgets.lemma_trials)
+        refine = refine_a1(lemma.a0, plan, d, rng, budgets.refine_trials)
         a2 = filter_a2(refine.a1, plan, d)
         translates, a0, a1 = lemma.translates, lemma.a0, refine.a1
         stats = CertStats(
@@ -901,15 +896,15 @@ def verify_certificate(cert: Certificate) -> None:
 
     Stored booleans are given zero trust: the containment is re-derived
     pair by pair against a freshly computed D_c(A), the plan is
-    re-derived from (n, |A|, c), the lemma-stage inequalities are
-    re-checked from the stored sets, and finally the whole run is
-    replayed from the stored seed and compared byte for byte.  The replay
-    runs no more trials than the certificate's stats record.
+    re-derived from (n, |A|, c), the stage sets must be present and
+    nested, and the whole run is replayed from the stored seed, with no
+    more trials than the stats record, and compared byte for byte.
 
-    The containment check runs once, on the stored A_2.  The replay does
-    not repeat it: a replay whose bytes equal the certificate's has the
-    same A_2 and the same D, so a second check could not change the
-    verdict.
+    No check runs twice.  The replay decides the acceptance inequality
+    and counts S on the A_0 it reaches, so a stored A_0 it does not reach
+    fails ``replay``, and a wrong S on the A_0 it reaches fails
+    ``lemma-soundness``.  A replay with the certificate's bytes has its
+    A_2 and D, so a second containment check could not change the verdict.
     """
     a = cert.input_set
 
@@ -929,31 +924,21 @@ def verify_certificate(cert: Certificate) -> None:
     if not cert.plan.trivial:
         if cert.a0 is None or cert.a1 is None:
             raise VerificationError("lemma-soundness", "intermediate sets missing")
-        outcome = lemma_accept(cert.a0, a, cert.plan, d)
-        if not outcome.accepted:
-            raise VerificationError(
-                "lemma-soundness", "stored A_0 fails the acceptance inequality"
-            )
-        if outcome.s_count != cert.stats.s_count:
-            raise VerificationError(
-                "lemma-soundness", "stored unpopular-pair count is wrong"
-            )
         if not cert.a1.subset_of(cert.a0) or not cert.a2.subset_of(cert.a1):
-            raise VerificationError(
-                "lemma-soundness", "stage sets are not nested"
-            )
+            raise VerificationError("lemma-soundness", "stage sets are not nested")
 
     # the plan check above already enforced what construct_popular_sumset
     # checks of its arguments (|A| >= 1 and 0 < c < 1), and that the
     # stored plan is the one choose_sigma derives
     try:
-        replay = _run_pipeline(a, cert.plan, cert.seed, cert.budgets, d, _replay_limits(cert))
+        replay = _run_pipeline(a, cert.plan, cert.seed, _replay_limits(cert), d)
     except (RetryExhausted, ValueError) as exc:
         raise VerificationError("replay", f"replay did not complete: {exc}") from None
-    # the containment check above passed on this A_2 and d, and a replay
-    # with the certificate's bytes has them too
+    same_a0 = replay.a0 is not None and replay.a0 == cert.a0
+    if same_a0 and replay.stats.s_count != cert.stats.s_count:
+        raise VerificationError("lemma-soundness", "stored unpopular-pair count is wrong")
     try:
-        same = replace(replay, verified=True).dumps() == cert.dumps()
+        same = replace(replay, budgets=cert.budgets, verified=True).dumps() == cert.dumps()
     except ValueError as exc:  # an integer too long for sys.get_int_max_str_digits()
         raise VerificationError("replay", f"certificate cannot be written: {exc}") from None
     if not same:

@@ -13,7 +13,9 @@ addressable in memory.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,16 +281,21 @@ def f2set_dumps(s: DenseSet) -> str:
     return f"F2SET v1 n={s.n}\n{payload}\n"
 
 
+def _header_dim(line: str) -> int:
+    """The n of an F2SET header line, given without its newline."""
+    m = _F2SET_HEADER.match(line)
+    if not m:
+        raise ValueError(f"bad F2SET header: {line!r}")
+    return _check_dim(int(m.group(1)))
+
+
 def f2set_loads(text: str) -> DenseSet:
     """Parse F2SET text; raises ValueError unless it is exactly the
     ``f2set_dumps`` text of the set it holds."""
     lines = text.split("\n")
     if len(lines) != 3 or lines[2]:
         raise ValueError("F2SET text must be a header line and a payload line, each ending in \\n")
-    m = _F2SET_HEADER.match(lines[0])
-    if not m:
-        raise ValueError(f"bad F2SET header: {lines[0]!r}")
-    n = _check_dim(int(m.group(1)))
+    n = _header_dim(lines[0])
     size = 1 << n
     expected_chars = max(1, size // 4)
     payload = lines[1]
@@ -315,8 +322,18 @@ def write_set(s: DenseSet, path) -> None:
 
 
 def read_set(path) -> DenseSet:
+    """Read an F2SET file, refusing one whose size is not the F2SET size
+    for its header's n with ValueError before the payload is read."""
+    with open(path, "rb") as f:
+        head = f.readline(16)  # the longest header line is "F2SET v1 n=30\n"
+        n = _header_dim(head.decode("ascii", "replace").removesuffix("\n"))
+        size = len(head) + max(1, (1 << n) // 4) + 1
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size != size:
+            raise ValueError(f"set file has {st.st_size} bytes, not the {size} of F2SET n={n}")
+        data = head + f.read(size - len(head) + 1)  # one byte more shows a longer stream
     try:
-        text = Path(path).read_bytes().decode("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ValueError(f"set file is not ASCII: {exc}") from None
     return f2set_loads(text)

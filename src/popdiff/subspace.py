@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2n import DenseSet, linear_subspace
+from .f2n import DenseSet
 
 SEARCH_DIM_CAP = 22  # CLI refuses exact search above this dimension
 
@@ -182,8 +182,3 @@ def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
     except _Stop:
         pass
     return MaxSubspaceResult(SubspaceBasis(d.n, state["best_basis"]), zero_in_set=True)
-
-
-def is_subspace_subset(d: DenseSet, vectors) -> bool:
-    """Whether the span of ``vectors`` lies entirely inside ``d``."""
-    return linear_subspace(d.n, vectors).subset_of(d)

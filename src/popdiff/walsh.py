@@ -230,9 +230,10 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     """Exact pair counts N(x) = #{(a, b) in A x B : a XOR b = x}.
 
     ``ind_a`` and ``ind_b`` are 0/1 indicator vectors of equal power-of-two
-    length; ``ind_b=None`` means B = A (autocorrelation).  Returns int64.
+    length; ``ind_b=None`` means B = A (autocorrelation).  Leading axes,
+    of the same shape in both, are a batch of rows.  Returns int64.
     """
-    size = len(ind_a)
+    size = ind_a.shape[-1]
     n = size.bit_length() - 1
     if size != 1 << n:
         raise ValueError(f"indicator length {size} is not a power of two")
@@ -242,8 +243,8 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     if ind_b is None:
         fa *= fa
     else:
-        if len(ind_b) != size:
-            raise ValueError("indicator lengths differ")
+        if ind_b.shape != ind_a.shape:
+            raise ValueError("indicator shapes differ")
         fb = ind_b.astype(dtype)
         fwht_inplace(fb)
         fa *= fb
@@ -259,6 +260,8 @@ def _scaled_counts(f: np.ndarray, n: int) -> np.ndarray:
     negative.  One mask tests both, since a negative int64 has its sign
     bit set.
     """
+    if f.ndim > 1:  # a batch: its flat buffer, one block pass over the rows
+        return _scaled_counts(f.reshape(-1), n).reshape(f.shape)
     counts = f.view(np.int64)
     bad = -(1 << 63) | ((1 << n) - 1)
     for i in range(0, f.size, _BLOCK):

@@ -13,8 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from popdiff import walsh
 from popdiff.cli import main
-from popdiff.correlation import autocorrelation, naive_autocorrelation, popular_difference_set
+from popdiff.correlation import (
+    Autocorrelation,
+    autocorrelation,
+    naive_autocorrelation,
+    popular_difference_set,
+)
 from popdiff.f2n import f2set_dumps, f2set_loads, full_set, make_set, random_set, sumset
 from popdiff.construction import Certificate, theorem_bound
 from popdiff.rng import SplitMix64
@@ -94,21 +100,30 @@ def test_criterion_2_definition_identities():
             assert tighter.subset_of(looser)
 
     # D_c(V) = V for every subspace of F_2^8 whenever c * density < 1;
-    # the single boundary point (V = G, c = 1) gives the empty set instead
+    # the single boundary point (V = G, c = 1) gives the empty set instead.
+    # N_V is computed for blocks of rows at once, and D_c(V) decided from it
+    # by popular_set's integer rule N(x) > floor(c.num |V|^2 / (c.den 2^n)),
+    # checked against popular_set itself on the first row of each block
     subs = all_subspaces(8)
     assert len(subs) == sum(gaussian_binomial(8, k) for k in range(9)) == 417199
     cs = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     checked = 0
-    for span in subs:
-        v = make_set(8, span)
-        ac = autocorrelation(v)
+    for start in range(0, len(subs), 8192):
+        block = subs[start : start + 8192]
+        v = np.zeros((len(block), 256), dtype=np.uint8)
+        for row, span in zip(v, block):
+            row[list(span)] = 1
+        counts = walsh.xor_pair_counts(v)
+        card = counts[:, 0]
+        assert np.array_equal(card, v.sum(axis=1))
         for c in cs:
-            d = ac.popular_set(c)
-            if c * v.density < 1:
-                assert d == v
-            else:
-                assert d.card == 0
-            checked += 1
+            thr = c.numerator * card * card // (c.denominator << 8)
+            d = counts > thr[:, None]
+            assert np.array_equal(d[0], Autocorrelation(8, counts[0]).popular_set(c).bits == 1)
+            dense = c.numerator * card >= c.denominator * 256  # c * density >= 1
+            assert np.array_equal(d[~dense], v[~dense] == 1)
+            assert not d[dense].any()
+            checked += len(block)
     print(f"ACCEPTANCE 2 (definition identities; {checked} subspace/threshold pairs): PASS")
 
 

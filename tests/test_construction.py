@@ -1,5 +1,6 @@
 """Plans, stage acceptance, the construction pipeline, and certificates."""
 
+import inspect
 import json
 import math
 import pickle
@@ -719,8 +720,8 @@ def test_verify_replay_runs_no_more_trials_than_recorded(monkeypatch):
     monkeypatch.setattr(
         construction, "lemma_accept", lambda *args: calls.append(1) or accept(*args)
     )
-    # the lemma-soundness check makes one call, each replayed trial one more
-    for recorded, expected_calls in ((None, 1), (0, 1), (1, 2), (19, 20)):
+    # each replayed trial makes one call; lemma-soundness makes none
+    for recorded, expected_calls in ((None, 0), (0, 0), (1, 1), (19, 19)):
         bad = Certificate.from_json_obj(
             _tampered_obj(cert, lambda o: o["stats"].update(lemma_trials=recorded))
         )
@@ -892,3 +893,76 @@ def test_verify_catches_stats_edit():
     with pytest.raises(VerificationError) as exc:
         verify_certificate(bad)
     assert exc.value.check == "lemma-soundness"
+
+
+def test_verify_attributes_stage_edits_to_lemma_soundness_or_replay():
+    # the acceptance inequality is decided by the replay alone, so a stored
+    # A_0 that fails it under an unchanged seed is a replay failure, while
+    # a wrong unpopular-pair count on the replayed A_0 stays lemma-soundness
+    a = random_set(12, 2048, SplitMix64(7))
+    cert = construct_popular_sumset(a, Fraction(1, 8), seed=4)
+    d = popular_difference_set(a, cert.c)
+    assert not lemma_accept(cert.a1, a, cert.plan, d).accepted
+
+    def a0_is_a1(obj):
+        obj["a0"] = obj["a1"]
+        obj["stats"]["card_a0"] = cert.a1.card
+
+    def a0_is_a1_with_another_count(obj):
+        a0_is_a1(obj)
+        obj["stats"]["s_count"] += 1
+
+    def translate_edit(obj):
+        obj["translates"][0] ^= 1
+
+    def a1_leaves_a0(obj):
+        outside = next(x for x in range(1 << 12) if x not in cert.a0)
+        obj["a1"] = f2set_dumps(make_set(12, cert.a1.point_list() + [outside])).split("\n")[1]
+
+    trivial = construct_popular_sumset(random_set(5, 2, SplitMix64(2)), Fraction(1, 2), seed=1)
+    assert trivial.plan.trivial
+    for base, mutate, check in (
+        (cert, a0_is_a1, "replay"),
+        (cert, a0_is_a1_with_another_count, "replay"),
+        (cert, lambda o: o["stats"].update(s_count=o["stats"]["s_count"] + 1), "lemma-soundness"),
+        (cert, a1_leaves_a0, "lemma-soundness"),
+        (cert, lambda o: o.update(seed=o["seed"] + 1), "replay"),
+        (cert, translate_edit, "replay"),
+        (trivial, lambda o: o["stats"].update(s_count=0), "replay"),
+    ):
+        bad = Certificate.from_json_obj(_tampered_obj(base, mutate))
+        with pytest.raises(VerificationError) as exc:
+            verify_certificate(bad)
+        assert exc.value.check == check
+
+
+def test_replay_runs_under_the_replay_limits_as_its_budgets(monkeypatch):
+    assert "limits" not in inspect.signature(construction._run_pipeline).parameters
+    v = linear_subspace(10, [1 << i for i in range(9)])
+    cert = construct_popular_sumset(
+        v, Fraction(1, 2), seed=3, budgets=Budgets(MAX_TRIALS, MAX_TRIALS)
+    )
+    seen = []
+    run = construction._run_pipeline
+    monkeypatch.setattr(
+        construction, "_run_pipeline", lambda *args: seen.append(args[3]) or run(*args)
+    )
+    verify_certificate(cert)
+    assert seen == [Budgets(cert.stats.lemma_trials, cert.stats.refine_trials)]
+
+
+def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
+    calls = []
+    dump = construction._canonical_json
+    monkeypatch.setattr(
+        construction, "_canonical_json", lambda obj: calls.append(1) or dump(obj)
+    )
+    assert Certificate.loads(cert_text).dumps() == cert_text
+    assert len(calls) == 2  # one in loads, one in the dumps() above
+    obj = json.loads(cert_text)
+    for edit, message in (
+        (NON_CANONICAL_EDITS["compact_json"], "not in canonical layout"),
+        (NON_CANONICAL_EDITS["extra_field"], "not the canonical form of the fields"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Certificate.loads(edit(obj))

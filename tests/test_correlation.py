@@ -211,6 +211,25 @@ def test_int64_route_of_xor_pair_counts_matches_float64(monkeypatch, n):
     assert np.array_equal(by_int[0], limb_xor_pair_counts(ind_a))
 
 
+@pytest.mark.parametrize("route", ["float64", "int64"])
+@pytest.mark.parametrize("n", [1, 3, 8, 17])
+def test_xor_pair_counts_of_a_batch_equals_its_rows(monkeypatch, route, n):
+    if route == "int64":
+        monkeypatch.setattr(walsh, "_FLOAT_MAX_N", 0)
+    gen = np.random.default_rng(700 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 2, 3, 1 << n), dtype=np.uint8)
+    ind_a[0, 0] = 1  # a full row, whose counts are all 2^n
+    auto, cross = walsh.xor_pair_counts(ind_a), walsh.xor_pair_counts(ind_a, ind_b)
+    assert auto.shape == cross.shape == ind_a.shape
+    assert auto.dtype == cross.dtype == np.int64
+    assert (auto[0, 0] == 1 << n).all()
+    for i in np.ndindex(ind_a.shape[:-1]):
+        assert np.array_equal(auto[i], walsh.xor_pair_counts(ind_a[i]))
+        assert np.array_equal(cross[i], walsh.xor_pair_counts(ind_a[i], ind_b[i]))
+    with pytest.raises(ValueError, match="shapes differ"):
+        walsh.xor_pair_counts(ind_a, ind_b[:1])
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_scaled_counts_rejects_non_counts(dtype):
     # the last entry sits in the second block of the post-pass

@@ -1,5 +1,7 @@
 """Core set algebra, generators, and the F2SET file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,9 +226,46 @@ def test_f2set_roundtrip_bit_exact(tmp_path):
         "F2SET v1 n=3\n0f",              # no final newline
     ],
 )
-def test_f2set_rejections(text):
+def test_f2set_rejections(text, tmp_path):
     with pytest.raises(ValueError):
         f2set_loads(text)
+    path = tmp_path / "bad.set"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ValueError):
+        read_set(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"F2SET v1 n=2\n\xff\n",       # not ASCII
+        b"F2SET v1 n=\xff\n0\n",       # not ASCII in the header
+        b"F2SET v1 n=2",               # header only, no newline
+        b"",                           # empty file
+        b"F2SET v1 n=2" + b" " * 40,   # header line longer than any valid one
+    ],
+)
+def test_read_set_rejects_bytes_that_are_not_an_f2set_file(data, tmp_path):
+    path = tmp_path / "bad.set"
+    path.write_bytes(data)
+    with pytest.raises(ValueError):
+        read_set(path)
+
+
+def test_read_set_refuses_a_file_of_the_wrong_size_before_its_payload(tmp_path):
+    # a sparse file of 256 MB behind a valid n = 10 header
+    path = tmp_path / "huge.set"
+    with open(path, "wb") as f:
+        f.write(b"F2SET v1 n=10\n")
+        f.truncate(1 << 28)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="268435456 bytes, not the 271 of F2SET n=10"):
+            read_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_operations_do_not_mutate_inputs():

@@ -8,7 +8,7 @@ import pytest
 from popdiff.correlation import popular_difference_set
 from popdiff.f2n import DenseSet, full_set, linear_subspace, make_set, random_set
 from popdiff.rng import SplitMix64
-from popdiff.subspace import is_subspace_subset, max_subspace_in
+from popdiff.subspace import max_subspace_in
 
 from conftest import all_subspaces, gaussian_binomial, reference_max_subspace, set_from_mask
 
@@ -66,7 +66,7 @@ def test_exhaustive_n3_against_enumeration():
         got = max_subspace_in(d)
         assert got.dim == oracle_max_dim(3, mask, subs), mask
         if got.dim:
-            assert is_subspace_subset(d, got.basis.vectors)
+            assert linear_subspace(3, got.basis.vectors).subset_of(d)
 
 
 def test_random_n4_against_enumeration(subspaces_n4):
@@ -149,13 +149,13 @@ def test_near_full_sets_shortcut():
     assert max_subspace_in(d).dim == 14
 
 
-def test_is_subspace_subset_cases():
+def test_span_subset_cases():
     v = linear_subspace(5, [1, 2])
-    assert is_subspace_subset(v, [])          # span {0}
-    assert is_subspace_subset(v, [1, 2])
-    assert is_subspace_subset(v, [1, 3])      # dependent spanning set, same span
-    missing = make_set(5, [0, 1, 2])          # lacks 3 = 1 ^ 2
-    assert not is_subspace_subset(missing, [1, 2])
+    assert linear_subspace(5, []).subset_of(v)        # span {0}
+    assert linear_subspace(5, [1, 2]).subset_of(v)
+    assert linear_subspace(5, [1, 3]).subset_of(v)    # dependent spanning set, same span
+    missing = make_set(5, [0, 1, 2])                  # lacks 3 = 1 ^ 2
+    assert not linear_subspace(5, [1, 2]).subset_of(missing)
 
 
 def test_subspace_dim_inside_popular_sets():
