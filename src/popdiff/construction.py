@@ -687,24 +687,13 @@ class Certificate:
         derived field, another JSON type or spelling of a number, and an
         unknown field all fail to parse.
         """
-        return cls._parse(obj, None)
-
-    @classmethod
-    def _parse(cls, obj, text: str | None) -> "Certificate":
-        """The certificate ``obj`` holds, if ``text`` (by default the
-        canonical JSON of ``obj``) is its ``dumps()``; ValueError otherwise.
-        JSON round-trips the canonical object exactly, so a text equal to
-        ``dumps()`` also says that ``obj`` is canonical."""
         try:
             cert = cls._build(obj)
             canonical = cert.dumps()
-            if text is None:
-                text = _canonical_json(obj)
-            elif text != canonical and _canonical_json(obj) == canonical:
-                raise ValueError("the certificate text is not in canonical layout")
+            given = _canonical_json(obj)
         except (KeyError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-        if text != canonical:
+        if given != canonical:
             raise ValueError("the certificate is not the canonical form of the fields it holds")
         return cert
 
@@ -776,7 +765,16 @@ class Certificate:
             obj = json.loads(text)
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
-        return cls._parse(obj, text)
+        try:
+            cert = cls._build(obj)
+            if text == cert.dumps():
+                return cert
+        except (KeyError, TypeError, ArithmeticError):
+            pass  # from_json_obj reports the malformed certificate
+        # JSON round-trips the canonical object exactly, so a text that
+        # is not dumps() has either non-canonical fields or another layout
+        cls.from_json_obj(obj)
+        raise ValueError("the certificate text is not in canonical layout")
 
     def write(self, path) -> None:
         Path(path).write_bytes(self.dumps().encode("ascii"))

@@ -271,13 +271,18 @@ def niveau_set(n: int, weight_threshold: int) -> DenseSet:
 # ---------------------------------------------------------------------------
 
 
+def _f2set_payload_chars(n: int) -> int:
+    """Hex characters on the payload line of an F2SET file of dimension n."""
+    return max(1, (1 << n) // 4)
+
+
 def f2set_dumps(s: DenseSet) -> str:
     # byte b holds bits 8b..8b+7; its low nibble is character 2b
     packed = np.packbits(s.bits, bitorder="little")
     nibbles = np.empty(2 * packed.size, dtype=np.uint8)
     np.bitwise_and(packed, 15, out=nibbles[0::2])
     np.right_shift(packed, 4, out=nibbles[1::2])
-    payload = _HEX_DIGITS[nibbles[: max(1, s.bits.size // 4)]].tobytes().decode("ascii")
+    payload = _HEX_DIGITS[nibbles[: _f2set_payload_chars(s.n)]].tobytes().decode("ascii")
     return f"F2SET v1 n={s.n}\n{payload}\n"
 
 
@@ -297,7 +302,7 @@ def f2set_loads(text: str) -> DenseSet:
         raise ValueError("F2SET text must be a header line and a payload line, each ending in \\n")
     n = _header_dim(lines[0])
     size = 1 << n
-    expected_chars = max(1, size // 4)
+    expected_chars = _f2set_payload_chars(n)
     payload = lines[1]
     if len(payload) != expected_chars:
         raise ValueError(
@@ -327,7 +332,7 @@ def read_set(path) -> DenseSet:
     with open(path, "rb") as f:
         head = f.readline(16)  # the longest header line is "F2SET v1 n=30\n"
         n = _header_dim(head.decode("ascii", "replace").removesuffix("\n"))
-        size = len(head) + max(1, (1 << n) // 4) + 1
+        size = len(head) + _f2set_payload_chars(n) + 1
         st = os.fstat(f.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size != size:
             raise ValueError(f"set file has {st.st_size} bytes, not the {size} of F2SET n={n}")

@@ -250,7 +250,7 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
         fa *= fb
         del fb
     fwht_inplace(fa)  # the inverse, up to the factor 2^n
-    return _scaled_counts(fa, n)
+    return _scaled_counts(fa.reshape(-1), n).reshape(fa.shape)  # a batch in one pass
 
 
 def _scaled_counts(f: np.ndarray, n: int) -> np.ndarray:
@@ -260,8 +260,6 @@ def _scaled_counts(f: np.ndarray, n: int) -> np.ndarray:
     negative.  One mask tests both, since a negative int64 has its sign
     bit set.
     """
-    if f.ndim > 1:  # a batch: its flat buffer, one block pass over the rows
-        return _scaled_counts(f.reshape(-1), n).reshape(f.shape)
     counts = f.view(np.int64)
     bad = -(1 << 63) | ((1 << n) - 1)
     for i in range(0, f.size, _BLOCK):

@@ -101,29 +101,28 @@ def test_criterion_2_definition_identities():
 
     # D_c(V) = V for every subspace of F_2^8 whenever c * density < 1;
     # the single boundary point (V = G, c = 1) gives the empty set instead.
-    # N_V is computed for blocks of rows at once, and D_c(V) decided from it
-    # by popular_set's integer rule N(x) > floor(c.num |V|^2 / (c.den 2^n)),
-    # checked against popular_set itself on the first row of each block
+    # N_V is computed for blocks of rows at once; D_c(V) is popular_set's
+    # on every row
     subs = all_subspaces(8)
     assert len(subs) == sum(gaussian_binomial(8, k) for k in range(9)) == 417199
     cs = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    checked = 0
+    checked = boundary = 0
     for start in range(0, len(subs), 8192):
         block = subs[start : start + 8192]
         v = np.zeros((len(block), 256), dtype=np.uint8)
         for row, span in zip(v, block):
             row[list(span)] = 1
-        counts = walsh.xor_pair_counts(v)
-        card = counts[:, 0]
+        acs = [Autocorrelation(8, counts) for counts in walsh.xor_pair_counts(v)]
+        card = np.array([ac.card for ac in acs])
         assert np.array_equal(card, v.sum(axis=1))
         for c in cs:
-            thr = c.numerator * card * card // (c.denominator << 8)
-            d = counts > thr[:, None]
-            assert np.array_equal(d[0], Autocorrelation(8, counts[0]).popular_set(c).bits == 1)
-            dense = c.numerator * card >= c.denominator * 256  # c * density >= 1
-            assert np.array_equal(d[~dense], v[~dense] == 1)
-            assert not d[dense].any()
+            d = np.array([ac.popular_set(c).bits for ac in acs])
+            sparse = c.numerator * card < c.denominator * 256  # c * density < 1
+            assert np.array_equal(d[sparse], v[sparse])
+            assert not d[~sparse].any()
             checked += len(block)
+            boundary += int((~sparse).sum())
+    assert boundary == 1
     print(f"ACCEPTANCE 2 (definition identities; {checked} subspace/threshold pairs): PASS")
 
 
