@@ -7,20 +7,26 @@ almost all pairwise sums popular, and filters to the A_2 whose members see
 every partner, which forces A_2 + A_2 inside D_c(A).  Randomness only
 decides *when* a stage succeeds; every acceptance is an exact big-integer
 inequality, and a successful run is re-verified by an independent naive
-containment check before a certificate is issued: every pairwise XOR of
-A_2 is looked up in D_c(A), with no transform and no sumset built.  The
-verifier repeats no work: it runs that check once, on the stored A_2,
-and the intersection acceptance once, in the replay of the run, whose
-unpopular-pair count it compares with the stored one.
+containment check before a certificate is issued: no pair sum of A_2 may
+leave D_c(A), checked lookup by lookup with no transform and no sumset
+built, on whichever side of the incidence is smaller (the pair sums of
+A_2 looked up in D, or A_2 shifted by each point outside D looked up in
+A_2).  The verifier repeats no work: it runs that check once, on the
+stored A_2, and the intersection acceptance once, in the replay of the
+run, whose unpopular-pair count it compares with the stored one.
 
-The pairwise stages count the sums of a set of m points in D either by
-gathering the m^2 pairwise XORs or through exact Walsh-Hadamard
-transforms; both routes give the same integer counts.  One rule picks the
-route of every stage (``_gathers``): gather while that is the cheaper
-route, m^2 <= 5 t 2^n for a transform route of t full-length transforms.
-The intersection acceptance and the subsample count their pairs in D
-with one helper (``_pairs_in``, t = 2); the filter needs a count per
-point (t = 3).
+The pairwise stages count how the sums of a set X of m points fall in D
+by one of three routes, which give the same exact integers: gathering
+the m^2 pairwise XORs into D; the complement route, which looks up the
+m |D^c| sums x + z with z outside D in X, since #{(x, y) in X^2 :
+x + y not in D} = sum over z not in D of #{x in X : x + z in X}; or
+exact Walsh-Hadamard transforms.  One rule picks the route of every
+stage (``_route``): the cheapest of m^2, m |D^c| and 5 t 2^n lookups for
+a transform route of t full-length transforms.  When D_c(A) covers
+almost all of F_2^n, as for small c, the complement route costs almost
+nothing.  The intersection acceptance and the subsample count their
+pairs outside D with one helper (``_pairs_out``, t = 2); the filter
+needs a count per point (t = 3).
 
 Exact forms used throughout (alpha = |A| / 2^n, sigma = sn/sd in lowest
 terms, all stated over the normalized counting measure and then cleared of
@@ -51,6 +57,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 
 from .correlation import autocorrelation, popular_difference_set
 from .f2n import (
@@ -67,7 +74,7 @@ from .walsh import xor_pair_counts
 
 DEFAULT_TRIALS = 200
 MAX_TRIALS = 10**6  # the largest budget a stage, or a certificate, may state
-_CONTAINMENT_BLOCK = 1 << 18  # pairs per block of the containment check
+_CONTAINMENT_BLOCK = 1 << 18  # lookups per block of the containment check
 
 CERT_FORMAT = "POPDIFF-CERT v1"
 
@@ -346,24 +353,49 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
 _LOOKUPS_PER_TRANSFORM = 5
 
 
-def _gathers(card: int, n: int, transforms: int) -> bool:
+def _route(card: int, d: DenseSet, transforms: int) -> str:
     """Route rule of every pairwise stage (``lemma_accept``,
-    ``refine_a1``, ``filter_a2``) for ``card`` points in F_2^n whose
-    transform route runs ``transforms`` full-length transforms: gather
-    the card^2 pairwise XORs when that is the cheaper route,
-    card^2 <= 5 * transforms * 2^n.  The gather's temporary is
-    512 * card int64 indices (``xor_member_counts``)."""
-    return card * card <= _LOOKUPS_PER_TRANSFORM * transforms << n
+    ``refine_a1``, ``filter_a2``) for ``card`` points X in F_2^n whose
+    transform route runs ``transforms`` full-length transforms: the
+    cheapest of
+
+    * ``"gather"``: the card^2 pairwise XORs of X looked up in D;
+    * ``"complement"``: the card * |D^c| sums x + z with z outside D
+      looked up in X, since #{(x, y) in X^2 : x + y not in D} =
+      sum over z not in D of #{x in X : x + z in X};
+    * ``"transform"``: 5 * transforms * 2^n lookups' worth of work.
+
+    Ties go to the earlier route.  |D^c| is read as 2^n - |D| (a count
+    that D keeps), so the points outside D are listed only when a stage
+    takes the complement route, once per D however many trials it runs
+    (``DenseSet.outside_points``), and not at all when D is the whole
+    group.  Each gather's temporary is 512 rows of card or |D^c| int64
+    indices (``xor_member_counts``).
+    """
+    costs = {
+        "gather": card * card,
+        "complement": card * (d.size - d.card),
+        "transform": _LOOKUPS_PER_TRANSFORM * transforms << d.n,
+    }
+    return min(costs, key=costs.get)
 
 
-def _pairs_in(x: DenseSet, d: DenseSet) -> int:
-    """Number of ordered pairs of X whose sum lies in D: gathered from
-    the |X|^2 pairwise XORs while ``_gathers`` (the two transforms of an
-    autocorrelation) holds, otherwise the autocorrelation of X summed
-    over D; both are the same exact integer."""
-    if _gathers(x.card, x.n, transforms=2):
-        return int(xor_member_counts(x.points(), d.bits).sum())
-    return int(autocorrelation(x).counts.sum(where=d.bits != 0))
+def _pairs_out(x: DenseSet, d: DenseSet) -> int:
+    """Number of ordered pairs of X whose sum lies outside D, on the
+    route ``_route`` picks with the two transforms of an
+    autocorrelation: gathered from the |X|^2 pairwise XORs, counted as
+    #{(x, z) : z not in D, x + z in X}, or the autocorrelation of X
+    summed over D^c.  All three are the same exact integer."""
+    route = _route(x.card, d, transforms=2)
+    if route == "transform":
+        return int(autocorrelation(x).counts.sum(where=d.bits == 0))
+    if route == "gather":
+        pts = x.points()
+        return len(pts) ** 2 - int(xor_member_counts(pts, d.bits).sum())
+    outside = d.outside_points()
+    if not len(outside):
+        return 0  # D is the whole group, so X need not even be listed
+    return int(xor_member_counts(x.points(), x.bits, outside).sum())
 
 
 @dataclass(frozen=True)
@@ -378,15 +410,14 @@ def lemma_accept(
 ) -> LemmaOutcome:
     """Exact acceptance test for one intersection trial under ``plan``.
 
-    S counts the ordered pairs of A' whose sum lies outside d = D_c(A):
-    |A'|^2 minus the pairs inside d (``_pairs_in``).  The decision
-    inequality is evaluated in big-integer arithmetic with no rounding
-    anywhere.
+    S counts the ordered pairs of A' whose sum lies outside d = D_c(A)
+    (``_pairs_out``).  The decision inequality is evaluated in
+    big-integer arithmetic with no rounding anywhere.
     """
     if (a.n, a.card) != (plan.n, plan.card_a):
         raise ValueError("the plan was made for a set of another dimension or size")
     pairs = a_prime.card**2
-    s_count = pairs - _pairs_in(a_prime, d)
+    s_count = _pairs_out(a_prime, d)
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     lhs = (sn * pairs - sd * s_count) << plan.lemma_shift
     return LemmaOutcome(
@@ -453,7 +484,7 @@ def refine_a1(
     """Uniform m-subset of A_0, resampled until almost all pair sums are
     popular: sd * pairs >= (sd - 2 sn) * m^2, checked exactly.
 
-    The pair count is ``_pairs_in`` of the sample.
+    The pair count is |A_1|^2 minus ``_pairs_out`` of the sample.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -467,7 +498,7 @@ def refine_a1(
     best_deficit: int | None = None
     for trial in range(1, max_trials + 1):
         a1 = make_set(a0.n, pts[rng.sample(len(pts), m)])
-        pairs = _pairs_in(a1, d)
+        pairs = a1.card**2 - _pairs_out(a1, d)
         if pairs * sd >= plan.pair_rhs:
             return RefineStage(a1, pairs, trial)
         deficit = plan.pair_rhs - pairs * sd
@@ -483,9 +514,10 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     of A_1, so membership literally means x + A_1 lies inside D; that set
     inclusion and the counting bound |A_2| >= ceil(|A_1| / 2) are both
     asserted outright, since they are theorems given an accepted A_1.
-    The count of x is gathered from x + A_1 or, when the transform is
-    cheaper (``_gathers``), read off the exact XOR pair counts of A_1 and
-    D at x.
+    The count of x comes from the route ``_route`` picks with three
+    transforms: gathered from x + A_1, m minus #{z not in D : x + z in A_1}
+    (y = x + z runs over the partners of x whose sum is unpopular), or
+    read off the exact XOR pair counts of A_1 and D at x.
     """
     m = plan.target_a1_size
     pts = a1.points()
@@ -494,8 +526,11 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     if 3 * sn * m >= sd:
         raise PlanInfeasible("3 * sigma * |A_1| must stay below 1")
-    if _gathers(m, a1.n, transforms=3):
+    route = _route(m, d, transforms=3)
+    if route == "gather":
         counts = xor_member_counts(pts, d.bits)
+    elif route == "complement":
+        counts = m - xor_member_counts(pts, a1.bits, d.outside_points())
     else:
         counts = xor_pair_counts(a1.bits, d.bits)[pts]
     keep = counts * sd >= plan.filter_rhs
@@ -509,18 +544,32 @@ def filter_a2(a1: DenseSet, plan: ConstructionPlan, d: DenseSet) -> DenseSet:
 
 
 def verify_containment(a2: DenseSet, d: DenseSet) -> bool:
-    """Exhaustive check that A_2 + A_2 is inside D, pair by pair.
+    """Exhaustive check that A_2 + A_2 is inside D, on whichever side of
+    the incidence is smaller.
 
-    Deliberately independent of the pipeline bookkeeping: every sum x + y
-    with x <= y in A_2 is formed as a pairwise XOR and looked up in D, with
-    no transform, no stored count and no sumset built.  The rows from
-    index i on are tested against the points from index i on, in blocks
-    of about 2^18 pairs, and the first block with a sum outside D ends the
-    check.
+    Deliberately independent of the pipeline: no transform, no stored
+    count, no sumset built, and none of the stages' lookup helpers; both
+    sides are inline numpy gathers.  A_2 + A_2 lies inside D exactly
+    when no x + z with x in A_2 and z outside D is in A_2 (take
+    z = x + y).  So the check either forms every sum x + y with x <= y
+    in A_2 and looks it up in D, about |A_2|^2 / 2 lookups, or forms
+    every x + z with z outside D and looks it up in A_2, |D^c| |A_2|
+    lookups; it takes the second when 2 |D^c| <= |A_2|, and so makes no
+    lookup at all when D is the whole group.  Either side runs in blocks
+    of about 2^18 lookups (rows of A_2 from index i on against the points
+    from index i on, or rows of outside points against all of A_2), and
+    the first block that finds a sum outside D ends the check.
     """
     if a2.n != d.n:
         raise ValueError(f"dimension mismatch: {a2.n} vs {d.n}")
     pts = a2.points()
+    outside = np.flatnonzero(d.bits == 0)
+    if 2 * len(outside) <= len(pts):
+        rows = max(1, _CONTAINMENT_BLOCK // max(1, len(pts)))
+        for i in range(0, len(outside), rows):
+            if a2.bits[outside[i : i + rows, None] ^ pts[None, :]].any():
+                return False
+        return True
     i = 0
     while i < len(pts):
         rows = max(1, _CONTAINMENT_BLOCK // (len(pts) - i))
@@ -676,7 +725,14 @@ class Certificate:
         }
 
     def dumps(self) -> str:
-        return _canonical_json(self.to_json_obj())
+        """The canonical text, made once per certificate: a certificate
+        is an immutable value, so ``loads`` and the verifier's byte
+        comparison share one serialization."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = _canonical_json(self.to_json_obj())
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_json_obj(cls, obj) -> "Certificate":
@@ -768,6 +824,7 @@ class Certificate:
         try:
             cert = cls._build(obj)
             if text == cert.dumps():
+                object.__setattr__(cert, "_text", text)  # one copy of the text, not two
                 return cert
         except (KeyError, TypeError, ArithmeticError):
             pass  # from_json_obj reports the malformed certificate

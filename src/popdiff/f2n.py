@@ -59,7 +59,7 @@ class DenseSet:
     across concurrent readers.
     """
 
-    __slots__ = ("n", "bits", "_card")
+    __slots__ = ("n", "bits", "_card", "_outside")
 
     def __init__(self, n: int, bits: np.ndarray | None = None) -> None:
         self.n = _check_dim(n)
@@ -73,6 +73,7 @@ class DenseSet:
                 )
         self.bits = bits
         self._card: int | None = None
+        self._outside: np.ndarray | None = None
 
     @classmethod
     def _wrap(cls, n: int, bits: np.ndarray) -> "DenseSet":
@@ -81,6 +82,7 @@ class DenseSet:
         obj.n = n
         obj.bits = bits
         obj._card = None
+        obj._outside = None
         return obj
 
     @property
@@ -90,7 +92,7 @@ class DenseSet:
     @property
     def card(self) -> int:
         if self._card is None:
-            self._card = int(self.bits.sum())
+            self._card = int(np.count_nonzero(self.bits))
         return self._card
 
     @property
@@ -115,7 +117,23 @@ class DenseSet:
 
     def points(self) -> np.ndarray:
         """Member indices, ascending, as an int64 array."""
-        return np.flatnonzero(self.bits).astype(np.int64)
+        return np.flatnonzero(self.bits).astype(np.int64, copy=False)
+
+    def outside_points(self) -> np.ndarray:
+        """Indices of F_2^n outside the set, ascending, as a read-only
+        int64 array.
+
+        Listed on the first call and kept, as ``card`` is, so a caller
+        that asks once per trial scans the 2^n entries once; no scan when
+        the set is the whole group.
+        """
+        if self._outside is None:
+            if self.card == self.size:
+                self._outside = np.empty(0, dtype=np.int64)
+            else:
+                self._outside = np.flatnonzero(self.bits == 0)
+            self._outside.flags.writeable = False
+        return self._outside
 
     def point_list(self) -> list[int]:
         return [int(p) for p in np.flatnonzero(self.bits)]
@@ -221,17 +239,26 @@ def sumset(a: DenseSet, b: DenseSet) -> DenseSet:
     return DenseSet._wrap(a.n, out)
 
 
-def xor_member_counts(points: np.ndarray, member_bits: np.ndarray) -> np.ndarray:
-    """counts[i] = #{y in points : points[i] XOR y is a member}, as int64.
+def xor_member_counts(
+    points: np.ndarray, member_bits: np.ndarray, others: np.ndarray | None = None
+) -> np.ndarray:
+    """counts[i] = #{y in others : points[i] XOR y is a member}, as int64;
+    ``others`` defaults to ``points``.
 
-    ``member_bits`` is a 0/1 membership vector of length 2^n.  The
-    pairwise XORs are gathered in blocks of 512 rows, which caps the
-    temporary at 512 * len(points) indices.
+    ``member_bits`` is a 0/1 membership vector of length 2^n.  One helper
+    serves both lookup forms of the construction's stages: the pairs of
+    X looked up in D (others = points), and the points of X against the
+    points outside D looked up in X.  The pairwise XORs are gathered in
+    blocks of 512 rows, which caps the temporary at 512 * len(others)
+    indices.
     """
+    if others is None:
+        others = points
     counts = np.empty(len(points), dtype=np.int64)
     for i in range(0, len(points), _XOR_BLOCK_ROWS):
-        block = points[i : i + _XOR_BLOCK_ROWS, None] ^ points[None, :]
-        counts[i : i + _XOR_BLOCK_ROWS] = member_bits[block].sum(axis=1)
+        block = points[i : i + _XOR_BLOCK_ROWS, None] ^ others[None, :]
+        # a row sums at most len(others) <= 2^MAX_DIM ones, so int32 holds it
+        counts[i : i + _XOR_BLOCK_ROWS] = member_bits[block].sum(axis=1, dtype=np.int32)
     return counts
 
 

@@ -21,6 +21,7 @@ from popdiff.construction import (
     DegenerateInput,
     PlanInfeasible,
     RetryExhausted,
+    SoundnessError,
     VerificationError,
     choose_sigma,
     construct_popular_sumset,
@@ -35,15 +36,18 @@ from popdiff.construction import (
     verify_certificate,
     verify_containment,
 )
-from popdiff.correlation import autocorrelation, popular_difference_set
+from popdiff.correlation import popular_difference_set
 from popdiff.f2n import (
+    DenseSet,
     empty_set,
     f2set_dumps,
     f2set_loads,
     full_set,
     linear_subspace,
     make_set,
+    niveau_set,
     random_set,
+    sumset,
 )
 from popdiff.rng import SplitMix64
 
@@ -279,27 +283,29 @@ def test_lemma_accept_s_count_matches_brute_force(monkeypatch):
     brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
     assert out.s_count == brute
 
-    # both routes, on either side of the one route threshold: the pair
-    # gather up to it, the autocorrelation above it
-    transformed = []
-    monkeypatch.setattr(
-        construction, "autocorrelation",
-        lambda s: transformed.append(s.card) or autocorrelation(s),
-    )
+    # every route on either side of each switch of the route rule, for a
+    # D_c(A), a D with a few unpopular points and a random half as D
+    calls = _spy_routes(monkeypatch)
+    seen = set()
     for n in (8, 9):
         a = random_set(n, 1 << (n - 1), rng)
-        d = popular_difference_set(a, Fraction(1, 4))
         plan = _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2)
-        for size in (0, 1, *_route_sizes(n, 2)):
-            a_prime = make_set(n, rng.sample(1 << n, size))
-            pts = a_prime.point_list()
-            brute = sum(1 for x in pts for y in pts if (x ^ y) not in d)
-            transformed.clear()
-            out = lemma_accept(a_prime, a, plan, d)
-            assert out.s_count == brute
-            lhs = (size**2 - plan.sigma.denominator * brute) << plan.lemma_shift
-            assert out.deficit == plan.lemma_rhs - lhs
-            assert transformed == ([size] if size**2 > _gather_limit(n, 2) else [])
+        for d in _route_test_sets(a, rng):
+            k = d.size - d.card
+            member = d.bits.tolist()
+            for size in (0, 1, *_route_sizes(n, k, 2)):
+                a_prime = make_set(n, rng.sample(1 << n, size))
+                pts = a_prime.point_list()
+                brute = sum(1 for x in pts for y in pts if not member[x ^ y])
+                calls.clear()
+                out = lemma_accept(a_prime, a, plan, d)
+                assert out.s_count == brute
+                lhs = (size**2 - plan.sigma.denominator * brute) << plan.lemma_shift
+                assert out.deficit == plan.lemma_rhs - lhs
+                route = _expected_route(size, k, n, 2)
+                assert [r for r, _ in calls] == [route], (n, k, size)
+                seen.add(route)
+    assert seen == {"gather", "complement", "transform"}
 
 
 def test_find_lemma_set_full_group_first_trial():
@@ -402,38 +408,125 @@ def test_filter_rejects_wrong_input_size():
 
 
 def _gather_limit(n, transforms):
-    """The route threshold of every pairwise stage: it gathers while
-    m^2 <= 5 * transforms * 2^n."""
+    """The cost of the transform route of a stage with the given number
+    of transforms, in lookups: 5 * transforms * 2^n."""
     return 5 * transforms << n
 
 
-def _route_sizes(n, transforms):
-    """The sizes m and m + 1 on either side of the route threshold."""
-    edge = math.isqrt(_gather_limit(n, transforms))
-    return edge, edge + 1
+def _expected_route(card, k, n, transforms):
+    """The route rule of every pairwise stage for card points and a D
+    with k points outside it: the cheapest of card^2 lookups (gather),
+    card * k (complement) and the transform, ties to the earlier one."""
+    costs = {
+        "gather": card * card,
+        "complement": card * k,
+        "transform": _gather_limit(n, transforms),
+    }
+    return min(costs, key=costs.get)
+
+
+def _route_sizes(n, k, transforms):
+    """The sizes on either side of each switch of the route rule for a D
+    with k points outside it, up to 2^n: gather to complement at k,
+    complement to transform at t / k, gather to transform at sqrt(t)."""
+    t = _gather_limit(n, transforms)
+    edges = {k, math.isqrt(t)} | ({t // k} if k else set())
+    return sorted({size for e in edges for size in (e, e + 1) if size <= 1 << n})
+
+
+def _route_test_sets(a, rng):
+    """D_c(A) at c = 1/4, the group without a few (2^(n-3)) points and a
+    random half of the group: together they put every route of the rule
+    on either side of each switch."""
+    n = a.n
+    return (
+        popular_difference_set(a, Fraction(1, 4)),
+        ~make_set(n, rng.sample(1 << n, 1 << (n - 3))),
+        random_set(n, 1 << (n - 1), rng),
+    )
+
+
+def _spy_routes(monkeypatch):
+    """Record (route, result) of every pairwise count of the
+    construction.  The complement route lists the points outside D
+    (``DenseSet.outside_points``; with none, a pair count looks nothing
+    up) and passes them to ``xor_member_counts`` as ``others``; the pair
+    gather calls it without them; the transform is ``autocorrelation``
+    or ``xor_pair_counts``."""
+    calls = []
+    listing, lookup = DenseSet.outside_points, construction.xor_member_counts
+
+    def outside(d):
+        calls.append(("complement", None))
+        return listing(d)
+
+    def member_counts(points, member_bits, others=None):
+        result = lookup(points, member_bits, others)
+        if others is None:
+            calls.append(("gather", result))
+        else:
+            assert calls[-1] == ("complement", None)
+            calls[-1] = ("complement", result)
+        return result
+
+    monkeypatch.setattr(DenseSet, "outside_points", outside)
+    monkeypatch.setattr(construction, "xor_member_counts", member_counts)
+    for name in ("autocorrelation", "xor_pair_counts"):
+        kernel = getattr(construction, name)
+        monkeypatch.setattr(
+            construction, name,
+            lambda *args, kernel=kernel: calls.append(("transform", kernel(*args)))
+            or calls[-1][1],
+        )
+    return calls
+
+
+def test_niveau_construction_counts_on_the_complement_route(monkeypatch):
+    # Wolf's niveau set, the golden niveau_n12.json run: D_c(A) is a
+    # Hamming ball whose complement holds the 13 points of weight 11 and
+    # 12, so every stage counts its pairs on the complement route with
+    # work to do, and all of them share one listing of the outside points
+    a = niveau_set(12, 7)
+    d = popular_difference_set(a, Fraction(1, 4))
+    assert d.size - d.card == 13
+    calls = _spy_routes(monkeypatch)
+    listed, spied = [], DenseSet.outside_points
+    monkeypatch.setattr(
+        DenseSet, "outside_points", lambda d: listed.append(spied(d)) or listed[-1]
+    )
+    cert = construct_popular_sumset(a, Fraction(1, 4), 7)
+    stages = cert.stats.lemma_trials + cert.stats.refine_trials + 1
+    assert [r for r, _ in calls] == ["complement"] * stages
+    assert all(result is not None for _, result in calls)  # lookups were made
+    assert len(listed) == stages and len(listed[0]) == 13
+    assert all(outside is listed[0] for outside in listed)
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
-    transformed = []
-    monkeypatch.setattr(
-        construction, "autocorrelation",
-        lambda s: transformed.append(s.card) or autocorrelation(s),
-    )
+    calls = _spy_routes(monkeypatch)
     rng = SplitMix64(n)
     a0 = random_set(n, 1 << (n - 1), rng)
     pts = a0.points()
+    seen = set()
     # a random half of the group rejects the samples, the group without
-    # one point accepts them
-    for d in (random_set(n, 1 << (n - 1), rng), ~make_set(n, [3])):
-        for m in _route_sizes(n, 2):
+    # one point or without a few points accepts them
+    for d in (
+        random_set(n, 1 << (n - 1), rng),
+        ~make_set(n, [3]),
+        ~make_set(n, rng.sample(1 << n, 1 << (n - 3))),
+    ):
+        k = d.size - d.card
+        for m in _route_sizes(n, k, 2):
+            if not 2 <= m <= len(pts):
+                continue
             plan = _stage_plan(a0, Fraction(1, 4), Fraction(1, 4 * m))
             assert plan.target_a1_size == m
             sd = plan.sigma.denominator
             for seed in range(3):
                 chosen = pts[SplitMix64(seed).sample(len(pts), m)]
                 brute = sum(1 for x in chosen for y in chosen if int(x ^ y) in d)
-                transformed.clear()
+                calls.clear()
                 if brute * sd >= plan.pair_rhs:
                     stage = refine_a1(a0, plan, d, SplitMix64(seed), max_trials=1)
                     assert stage.a1 == make_set(n, chosen)
@@ -442,40 +535,50 @@ def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
                     with pytest.raises(RetryExhausted) as exc:
                         refine_a1(a0, plan, d, SplitMix64(seed), max_trials=1)
                     assert exc.value.best_deficit == plan.pair_rhs - brute * sd
-                assert transformed == ([m] if m * m > _gather_limit(n, 2) else [])
+                route = _expected_route(m, k, n, 2)
+                assert [r for r, _ in calls] == [route], (k, m)
+                seen.add(route)
+    assert seen == {"gather", "complement", "transform"}
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
-    seen = []  # (route, counts) of every call
-    gather, transform = construction.xor_member_counts, construction.xor_pair_counts
-    monkeypatch.setattr(
-        construction, "xor_member_counts",
-        lambda *args: seen.append(("gather", gather(*args))) or seen[-1][1],
-    )
-    monkeypatch.setattr(
-        construction, "xor_pair_counts",
-        lambda *args: seen.append(("transform", transform(*args))) or seen[-1][1],
-    )
+    calls = _spy_routes(monkeypatch)
     rng = SplitMix64(n + 10)
-    for m in _route_sizes(n, 3):
-        a1 = make_set(n, rng.sample(1 << n, m))
-        pts = a1.point_list()
-        plan = _stage_plan(a1, Fraction(1, 4), Fraction(1, 4 * m))
-        # every sum popular, then one sum x + y of A_1 left out of D
-        for d in (full_set(n), ~make_set(n, [pts[1] ^ pts[-2]])):
+    seen = set()
+    # every sum popular, one sum x + y of A_1 left out of D, a few
+    # unpopular points and a random half of the group
+    for kind, k in (("full", 0), ("one sum", 1), ("few", 1 << (n - 3)), ("half", 1 << (n - 1))):
+        for m in _route_sizes(n, k, 3):
+            if m < 2:
+                continue
+            a1 = make_set(n, rng.sample(1 << n, m))
+            pts = a1.point_list()
+            plan = _stage_plan(a1, Fraction(1, 4), Fraction(1, 4 * m))
+            d = {
+                "full": lambda: full_set(n),
+                "one sum": lambda: ~make_set(n, [pts[1] ^ pts[-2]]),
+                "few": lambda: ~make_set(n, rng.sample(1 << n, k)),
+                "half": lambda: random_set(n, 1 << (n - 1), rng),
+            }[kind]()
             brute = [sum(1 for y in pts if (x ^ y) in d) for x in pts]
-            seen.clear()
-            a2 = filter_a2(a1, plan, d)
-            assert a2 == make_set(n, [x for x, k in zip(pts, brute) if k == m])
-            assert len(seen) == 1
-            route, counts = seen[0]
-            if m * m > _gather_limit(n, 3):
-                assert route == "transform"
+            kept = [x for x, count in zip(pts, brute) if count == m]
+            calls.clear()
+            if len(kept) >= (m + 1) // 2:
+                assert filter_a2(a1, plan, d) == make_set(n, kept)
+            else:  # no accepted A_1 meets such a D, and the filter says so
+                with pytest.raises(SoundnessError):
+                    filter_a2(a1, plan, d)
+            assert len(calls) == 1
+            route, counts = calls[0]
+            assert route == _expected_route(m, k, n, 3), (kind, m)
+            seen.add(route)
+            if route == "transform":
                 counts = counts[pts]
-            else:
-                assert route == "gather"
+            elif route == "complement":
+                counts = m - counts
             assert counts.tolist() == brute
+    assert seen == {"gather", "complement", "transform"}
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +597,133 @@ def test_verify_containment_point_subspace_pair_and_mismatch():
         verify_containment(make_set(3, [0]), d)
 
 
+def _spy_containment(a2, d):
+    """A_2 and D again, as sets whose membership vectors record every
+    lookup block the containment check gathers from them: ("pairs", None)
+    for pair sums of A_2 looked up in D, ("outside", rows) for the rows
+    of points outside D shifted by A_2 and looked up in A_2."""
+    blocks = []
+    first = int(a2.points()[0]) if a2.card else 0
+
+    def logged(s, record):
+        class Logged(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, np.ndarray) and index.ndim == 2:
+                    blocks.append(record(index))
+                return np.asarray(super().__getitem__(index))
+
+        return DenseSet._wrap(s.n, s.bits.view(Logged))
+
+    # a block of outside rows z is z + A_2, whose first column is z + min A_2
+    a2 = logged(a2, lambda index: ("outside", (index[:, 0] ^ first).tolist()))
+    return a2, logged(d, lambda index: ("pairs", None)), blocks
+
+
 def test_verify_containment_rejects_a_single_missing_pair_sum():
     # A_2 = V + {w} with V = span(e_0..e_9) and w = e_10: the pair sums
     # are V (pairs inside V), 0 (the diagonal) and each point of w + V
-    # exactly once, as w + v
-    n, k = 11, 10
-    v = linear_subspace(n, [1 << i for i in range(k)])
-    w = 1 << k
-    a2 = make_set(n, v.point_list() + [w])
-    pts = a2.point_list()
-    assert pts[-1] == w
-    sums = v | v.translate(w)
-    assert verify_containment(a2, sums)
-    # the rows take more than one block, so the first and the last point
-    # lie in different blocks
-    assert construction._CONTAINMENT_BLOCK // len(pts) < len(pts) - 1
-    for missing, case in (
-        (0, "diagonal"),
-        (w ^ pts[-2], "pair inside the last row block"),
-        (w ^ pts[0], "pair straddling the first and the last block"),
-    ):
-        assert missing in sums
-        assert not verify_containment(a2, sums & ~make_set(n, [missing])), case
-    # a single point needs 0 in D and nothing else
-    assert not verify_containment(make_set(n, [w]), ~make_set(n, [0]))
-    assert verify_containment(make_set(n, [w]), make_set(n, [0]))
+    # exactly once, as w + v.  At n = 11 they fill the group, so a D
+    # without one of them has one point outside and the check takes the
+    # outside side; at n = 12 half the group is outside D, and the check
+    # looks up the pair sums
+    k = 10
+    for n, side in ((11, "outside"), (12, "pairs")):
+        v = linear_subspace(n, [1 << i for i in range(k)])
+        w = 1 << k
+        a2 = make_set(n, v.point_list() + [w])
+        pts = a2.point_list()
+        assert pts[-1] == w
+        sums = v | v.translate(w)
+        assert verify_containment(a2, sums)
+        # the rows take more than one block, so the first and the last
+        # point lie in different blocks
+        assert construction._CONTAINMENT_BLOCK // len(pts) < len(pts) - 1
+        for missing, case in (
+            (0, "diagonal"),
+            (w ^ pts[-2], "pair inside the last row block"),
+            (w ^ pts[0], "pair straddling the first and the last block"),
+        ):
+            assert missing in sums
+            spy_a2, d, blocks = _spy_containment(a2, sums & ~make_set(n, [missing]))
+            assert not verify_containment(spy_a2, d), case
+            assert {b[0] for b in blocks} == {side}, case
+        # a single point needs 0 in D and nothing else
+        assert not verify_containment(make_set(n, [w]), ~make_set(n, [0]))
+        assert verify_containment(make_set(n, [w]), make_set(n, [0]))
+
+
+def test_verify_containment_outside_side_blocks():
+    # A_2 = 1200 even points of F_2^12, so A_2 + A_2 holds only even
+    # points, and D misses 300 odd points from the middle of the group:
+    # the check shifts A_2 by each of them, in blocks of 2^18 // 1200 rows
+    n = 12
+    rng = SplitMix64(12)
+    a2 = make_set(n, [2 * x for x in rng.sample(1 << (n - 1), 1200)])
+    sums = sumset(a2, a2)
+    odd = [2 * x + 1 for x in range(500, 800)]
+    d = ~make_set(n, odd)
+    rows = construction._CONTAINMENT_BLOCK // a2.card
+    assert rows < len(odd) and 2 * len(odd) <= a2.card
+    spy_a2, spy_d, blocks = _spy_containment(a2, d)
+    assert verify_containment(spy_a2, spy_d)
+    assert [side for side, _ in blocks] == ["outside"] * -(-len(odd) // rows)
+    assert sum((block for _, block in blocks), []) == odd
+    # a missing sum is found in the block that holds it, which ends the
+    # check: the diagonal and the least sum sort first, the greatest last
+    low, high = min(sums.point_list()[1:]), max(sums.point_list())
+    assert low < odd[0] and high > odd[-1]
+    for missing, first in ((0, True), (low, True), (high, False)):
+        spy_a2, missed, blocks = _spy_containment(a2, d & ~make_set(n, [missing]))
+        assert not verify_containment(spy_a2, missed)
+        expected = 1 if first else -(-(len(odd) + 1) // rows)
+        assert len(blocks) == expected, missing
+        assert missing in blocks[-1][1]
+    # D = F_2^n: nothing lies outside, and the check makes no lookup
+    for a2, n in ((a2, n), (random_set(16, 1 << 15, rng), 16)):
+        spy_a2, d, blocks = _spy_containment(a2, full_set(n))
+        assert verify_containment(spy_a2, d)
+        assert blocks == []
+
+
+def test_verify_containment_side_switch():
+    # the outside side runs while 2 |D^c| <= |A_2|; D^c holds odd points,
+    # A_2 even ones, and a second D also misses one sum of A_2
+    n = 8
+    rng = SplitMix64(8)
+    for card in (41, 42):
+        a2 = make_set(n, [2 * x for x in rng.sample(1 << (n - 1), card)])
+        sums = sumset(a2, a2).point_list()
+        for twice in (card - 1, card, card + 1):
+            if twice % 2:
+                continue
+            odd = [2 * x + 1 for x in rng.sample(1 << (n - 1), twice // 2)]
+            side = "outside" if twice <= card else "pairs"
+            for missing, expected in (([], True), ([sums[-1]], False)):
+                spy_a2, d, blocks = _spy_containment(
+                    a2, ~make_set(n, odd[len(missing):] + missing)
+                )
+                assert 2 * (d.size - d.card) == twice
+                assert verify_containment(spy_a2, d) is expected
+                assert {b[0] for b in blocks} == {side}, (card, twice)
+
+
+def test_verify_containment_matches_the_sumset_oracle():
+    rng = SplitMix64(2024)
+    outcomes = set()
+    for _ in range(300):
+        n = 1 + rng.below(8)
+        a2 = random_set(n, rng.below((1 << n) + 1), rng)
+        sums = sumset(a2, a2)
+        d = {
+            0: lambda: random_set(n, rng.below((1 << n) + 1), rng),
+            1: lambda: sums | random_set(n, rng.below((1 << n) + 1), rng),
+            2: lambda: ~make_set(n, rng.sample(1 << n, rng.below(min(4, 1 << n)))),
+            3: lambda: sums & ~make_set(n, rng.sample(1 << n, 1)),
+        }[rng.below(4)]()
+        expected = sums.subset_of(d)
+        assert verify_containment(a2, d) is expected
+        outcomes.add((expected, 2 * (d.size - d.card) <= a2.card))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_theorem_bound_dyadic_values():
@@ -955,8 +1160,13 @@ def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
     monkeypatch.setattr(
         construction, "_canonical_json", lambda obj: calls.append(1) or dump(obj)
     )
-    assert Certificate.loads(cert_text).dumps() == cert_text
-    assert len(calls) == 2  # one in loads, one in the dumps() above
+    cert = Certificate.loads(cert_text)
+    assert cert.dumps() == cert_text
+    assert len(calls) == 1  # in loads; the dumps() above reuses its text
+    # the verifier serializes only the replay, and compares its bytes
+    # with the text that loads made
+    verify_certificate(cert)
+    assert len(calls) == 2
     obj = json.loads(cert_text)
     for edit, message in (
         (NON_CANONICAL_EDITS["compact_json"], "not in canonical layout"),

@@ -153,6 +153,19 @@ def test_xor_member_counts_matches_double_loop():
             assert got.tolist() == expected
 
 
+def test_xor_member_counts_against_other_points():
+    # counts[i] = #{y in others : points[i] XOR y is a member}, with the
+    # rows in blocks of 512 (1100 rows: two full blocks and a partial one)
+    rng = SplitMix64(42)
+    for n, rows in ((6, 40), (12, 1100)):
+        member = random_set(n, rng.below((1 << n) + 1), rng)
+        pts = np.asarray(rng.sample(1 << n, rows), dtype=np.int64)
+        for k in (0, 1, 7):
+            others = np.asarray(rng.sample(1 << n, k), dtype=np.int64)
+            expected = [sum(int(member.bits[x ^ y]) for y in others) for x in pts]
+            assert xor_member_counts(pts, member.bits, others).tolist() == expected
+
+
 def test_xor_member_counts_matches_unblocked_gather():
     # 1100 rows: two full 512-row blocks and a partial one
     rng = SplitMix64(43)
@@ -276,3 +289,16 @@ def test_operations_do_not_mutate_inputs():
     a.union(make_set(3, [7]))
     sumset(a, a)
     assert np.array_equal(a.bits, before)
+
+
+def test_outside_points_lists_the_complement_once():
+    rng = SplitMix64(44)
+    for n in (1, 5, 10):
+        a = random_set(n, rng.below((1 << n) + 1), rng)
+        outside = a.outside_points()
+        assert outside.dtype == np.int64 and not outside.flags.writeable
+        assert outside.tolist() == [x for x in range(1 << n) if x not in a]
+        assert a.outside_points() is outside  # kept, not listed again
+    # the whole group has nothing outside, and the empty set everything
+    assert full_set(6).outside_points().tolist() == []
+    assert empty_set(6).outside_points().tolist() == list(range(64))
