@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -66,6 +67,10 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+# Parsing neither changes the parser nor keeps state in it (``error``
+# raises, and every call gets a fresh Namespace), so one tree serves
+# every call of ``main`` in a process.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="popdiff", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -67,6 +67,7 @@ from .f2n import (
     f2set_loads,
     make_set,
     set_sha256,
+    translate_packed,
     xor_member_counts,
 )
 from .rng import SplitMix64
@@ -333,16 +334,27 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
 
     All r translates are drawn, so the rng advances alike on every trial;
     once the running intersection is empty the rest are not applied.
+    The work stays on A's packed bits (``translate_packed``) through the
+    exact identity
+
+        cap_i (A + x_i) = x_1 + (A cap cap_{i>=2} (A + (x_1 + x_i))),
+
+    so the running intersection starts from A itself with no translate,
+    and is translated by x_1 and unpacked once, only if it is non-empty.
     """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     translates = [rng.below(a.size) for _ in range(r)]
-    out = a.translate(translates[0])
+    x1 = translates[0]
+    packed = a.packed_bits()
+    out = packed
     for x in translates[1:]:
-        if not out.bits.any():
+        if not out.any():
             break
-        out = out.intersect(a.translate(x))
-    return out, translates
+        out = out & translate_packed(packed, x1 ^ x)
+    if not out.any():
+        return DenseSet(a.n), translates
+    return DenseSet._from_packed(a.n, translate_packed(out, x1)), translates
 
 
 # One Walsh-Hadamard transform of 2^n entries costs as much as gathering

@@ -4,7 +4,10 @@ Points are plain integer indices in [0, 2^n): coordinate j of a point is
 bit j of its index, and the group operation is bitwise XOR (so every
 element is its own inverse).  A set is stored as a 0/1 vector of length
 2^n, which keeps all set algebra bit-parallel and makes density an exact
-dyadic rational.
+dyadic rational.  Beside it, a set keeps the same bits packed 8 per byte
+(``DenseSet.packed_bits``), the byte layout of the F2SET payload; the
+translate kernel (``translate_packed``) and the intersection trials of
+the construction work on that packed view, which is 8x smaller.
 
 The dimension is capped at MAX_DIM = 30 so the 2^n-length vectors stay
 addressable in memory.
@@ -26,8 +29,25 @@ from .rng import SplitMix64
 MAX_DIM = 30
 
 _XOR_BLOCK_ROWS = 512  # rows per pairwise-XOR gather in xor_member_counts
-_TRANSLATE_COL_BITS = 12  # translate views the bits as rows of 2^12
-_TRANSLATE_BLOCK_ROWS = 64  # rows per gather in translate
+# translate_packed views the bytes as rows of 2^9 and gathers 64 rows at a
+# time; of rows of 2^6, 2^9 and 2^12 bytes and blocks of 16, 64 and 256
+# rows, this was the fastest at n = 16..22 (2-vCPU Xeon, numpy 2.4)
+_PACKED_COL_BITS = 9
+_PACKED_BLOCK_ROWS = 64
+
+
+def _bit_xor_table() -> np.ndarray:
+    """table[s, v] = the byte whose bit b is bit b XOR s of the byte v."""
+    v = np.arange(256)[:, None]
+    b = np.arange(8)
+    table = np.empty((8, 256), dtype=np.uint8)
+    for s in range(8):
+        table[s] = (((v >> (b ^ s)) & 1) << b).sum(axis=1)
+    table.flags.writeable = False
+    return table
+
+
+_BIT_XOR_TABLE = _bit_xor_table()
 
 _F2SET_HEADER = re.compile(r"^F2SET v1 n=([1-9][0-9]*)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -59,7 +79,7 @@ class DenseSet:
     across concurrent readers.
     """
 
-    __slots__ = ("n", "bits", "_card", "_outside")
+    __slots__ = ("n", "bits", "_card", "_outside", "_packed")
 
     def __init__(self, n: int, bits: np.ndarray | None = None) -> None:
         self.n = _check_dim(n)
@@ -74,6 +94,7 @@ class DenseSet:
         self.bits = bits
         self._card: int | None = None
         self._outside: np.ndarray | None = None
+        self._packed: np.ndarray | None = None
 
     @classmethod
     def _wrap(cls, n: int, bits: np.ndarray) -> "DenseSet":
@@ -83,6 +104,15 @@ class DenseSet:
         obj.bits = bits
         obj._card = None
         obj._outside = None
+        obj._packed = None
+        return obj
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: np.ndarray) -> "DenseSet":
+        # internal: packed must be a fresh array that no other set holds
+        obj = cls._wrap(n, np.unpackbits(packed, count=1 << n, bitorder="little"))
+        packed.flags.writeable = False
+        obj._packed = packed
         return obj
 
     @property
@@ -135,6 +165,20 @@ class DenseSet:
             self._outside.flags.writeable = False
         return self._outside
 
+    def packed_bits(self) -> np.ndarray:
+        """The membership bits packed 8 per byte as a read-only uint8
+        array of max(1, 2^n / 8) bytes: point 8j + b is bit b of byte j
+        (``np.packbits(bits, bitorder="little")``).  For n < 3 the one
+        byte's bits from 2^n up are zero.
+
+        Packed on the first call and kept, as ``card`` is, so a set that
+        is translated or serialized many times is packed once.
+        """
+        if self._packed is None:
+            self._packed = np.packbits(self.bits, bitorder="little")
+            self._packed.flags.writeable = False
+        return self._packed
+
     def point_list(self) -> list[int]:
         return [int(p) for p in np.flatnonzero(self.bits)]
 
@@ -144,22 +188,11 @@ class DenseSet:
     def translate(self, t: int) -> "DenseSet":
         """The translate {t + a : a in A}; an involution in t.
 
-        Viewed as a (2^(n-k), 2^k) matrix with k = min(n, 12), index
-        XOR t permutes the rows by t >> k and the columns by the low k
-        bits of t, so the output is gathered in blocks of 64 rows and
-        the temporary never exceeds 256 KiB.
+        Computed on the packed bits (``translate_packed``), which are
+        packed once per set, and unpacked once.
         """
         t = _check_point(self.n, t)
-        k = min(self.n, _TRANSLATE_COL_BITS)
-        src = self.bits.reshape(-1, 1 << k)
-        out = np.empty_like(self.bits)
-        dst = out.reshape(src.shape)
-        row_idx = np.arange(src.shape[0]) ^ (t >> k)
-        col_idx = np.arange(1 << k) ^ (t & ((1 << k) - 1))
-        for r in range(0, src.shape[0], _TRANSLATE_BLOCK_ROWS):
-            block = src[row_idx[r : r + _TRANSLATE_BLOCK_ROWS]]
-            np.take(block, col_idx, axis=1, out=dst[r : r + _TRANSLATE_BLOCK_ROWS])
-        return DenseSet._wrap(self.n, out)
+        return DenseSet._from_packed(self.n, translate_packed(self.packed_bits(), t))
 
     def _check_same_dim(self, other: "DenseSet") -> None:
         if self.n != other.n:
@@ -239,6 +272,34 @@ def sumset(a: DenseSet, b: DenseSet) -> DenseSet:
     return DenseSet._wrap(a.n, out)
 
 
+def translate_packed(packed: np.ndarray, t: int) -> np.ndarray:
+    """The translate by t of a set given as its packed bits (the layout
+    of ``DenseSet.packed_bits``), as a fresh packed array; t must be a
+    point of the set's group F_2^n.
+
+    Point i = 8j + b moves to i XOR t = 8(j XOR (t >> 3)) + (b XOR (t & 7)):
+    byte j of the output is byte j XOR (t >> 3) of the input with its
+    bits permuted by one lookup in a fixed (8, 256) table.  Viewed as a
+    (2^(m-k), 2^k) matrix of bytes, 2^m bytes in all and k = min(m, 9),
+    the byte index XOR (t >> 3) permutes the rows by (t >> 3) >> k and
+    the columns by its low k bits, so the output is gathered in blocks of
+    64 rows (32 KiB).  For n < 3 a bit from 2^n up stays in that range
+    under XOR t, so the padding bits stay zero.
+    """
+    hi = t >> 3
+    k = min(packed.size.bit_length() - 1, _PACKED_COL_BITS)
+    src = packed.reshape(-1, 1 << k)
+    out = np.empty_like(packed)
+    dst = out.reshape(src.shape)
+    row_idx = np.arange(src.shape[0]) ^ (hi >> k)
+    col_idx = np.arange(1 << k) ^ (hi & ((1 << k) - 1))
+    table = _BIT_XOR_TABLE[t & 7]
+    for r in range(0, src.shape[0], _PACKED_BLOCK_ROWS):
+        block = src[row_idx[r : r + _PACKED_BLOCK_ROWS]]
+        np.take(table, block[:, col_idx], out=dst[r : r + _PACKED_BLOCK_ROWS])
+    return out
+
+
 def xor_member_counts(
     points: np.ndarray, member_bits: np.ndarray, others: np.ndarray | None = None
 ) -> np.ndarray:
@@ -305,7 +366,7 @@ def _f2set_payload_chars(n: int) -> int:
 
 def f2set_dumps(s: DenseSet) -> str:
     # byte b holds bits 8b..8b+7; its low nibble is character 2b
-    packed = np.packbits(s.bits, bitorder="little")
+    packed = s.packed_bits()
     nibbles = np.empty(2 * packed.size, dtype=np.uint8)
     np.bitwise_and(packed, 15, out=nibbles[0::2])
     np.right_shift(packed, 4, out=nibbles[1::2])

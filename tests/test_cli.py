@@ -415,3 +415,32 @@ def test_sweep_keeps_reason_rows_at_alpha_zero_and_c_one(tmp_path):
 def test_usage_error_exit_one():
     assert run("bound", "16", "0.5", "1/16") == 1
     assert run("nonsense") == 1
+
+
+def test_one_parser_serves_every_call_alike(small_cert, tmp_path, capsys):
+    a_path = tmp_path / "A.set"
+    assert run("gen", "--n", "10", "--family", "random", "--alpha", "1/2",
+               "--seed", "4", "--out", str(a_path)) == 0
+    capsys.readouterr()
+    calls = [
+        ("construct", str(a_path), "--c", "0.25", "--seed", "1", "--out", "{out}"),
+        ("verify", str(small_cert)),
+        ("construct", str(a_path), "--c", "1/8", "--seed", "1", "--out", "{out}"),
+    ]
+
+    def outcomes(fresh, tag):
+        got = []
+        for i, call in enumerate(calls):
+            out = tmp_path / f"{tag}{i}.json"
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(*(arg.format(out=out) for arg in call))
+            text = capsys.readouterr()
+            got.append((code, text.out.replace(str(out), "OUT"), text.err,
+                        out.read_bytes() if out.exists() else None))
+        return got
+
+    shared = outcomes(fresh=False, tag="shared")
+    assert cli._build_parser() is cli._build_parser()
+    assert [g[0] for g in shared] == [1, 0, 0]
+    assert outcomes(fresh=True, tag="fresh") == shared

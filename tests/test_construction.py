@@ -245,6 +245,36 @@ def test_sample_intersection_subspace_invariance():
     assert out == v
 
 
+def _naive_intersection(a, translates):
+    """Sorted points of the intersection of the pointwise-XOR translates."""
+    out = set(range(a.size))
+    for x in translates:
+        out &= set((a.points() ^ x).tolist())
+    return sorted(out)
+
+
+def test_sample_intersection_matches_its_definition():
+    rng = SplitMix64(70)
+    cases = [(random_set(n, rng.below((1 << n) + 1), rng), r)
+             for n in range(3, 13) for r in range(1, 7)]
+    h = linear_subspace(10, [1 << i for i in range(9)])
+    # a half of the hyperplane meets its translate by x_1 + x_2 only if
+    # that sum lies in the hyperplane, so about half its trials empty
+    # after the first pair
+    half = make_set(10, [p for p in h.points() if rng.below(2)])
+    cases += [(h, r) for r in range(1, 7)] + [(half, r) for r in range(2, 7) for _ in range(4)]
+    emptied_after_first_pair = 0
+    for seed, (a, r) in enumerate(cases):
+        draws, ref = SplitMix64(seed), SplitMix64(seed)
+        out, translates = sample_intersection(a, r, draws)
+        assert translates == [ref.below(a.size) for _ in range(r)]
+        assert draws.next_u64() == ref.next_u64()  # r draws, no more
+        assert out.point_list() == _naive_intersection(a, translates)
+        assert np.array_equal(out.packed_bits(), np.packbits(out.bits, bitorder="little"))
+        emptied_after_first_pair += a.card > 0 and not _naive_intersection(a, translates[:2])
+    assert emptied_after_first_pair >= 5
+
+
 def _stage_plan(a, c, sigma, r=None):
     """A plan with the given (c, sigma, r) for stage tests on A; r
     defaults to the stage parameter rule."""

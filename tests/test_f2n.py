@@ -76,16 +76,57 @@ def test_translate_involution_and_cardinality():
             assert moved.translate(t) == a
 
 
+def _packed(bits):
+    return np.packbits(bits, bitorder="little")
+
+
 def test_translate_matches_pointwise_xor():
-    # n >= 13 views the bits as several rows, n = 19 as more than one
-    # 64-row block; t moves the low bits, the high bits or both
     rng = SplitMix64(31)
-    for n in (1, 5, 12, 13, 19):
+    # every t for n <= 6, where for n < 3 one packed byte carries padding
+    # bits that must stay zero
+    for n in range(1, 7):
+        a = random_set(n, rng.below((1 << n) + 1), rng)
+        pts = a.points()
+        for t in range(1 << n):
+            moved = a.translate(t)
+            assert np.array_equal(moved.points(), np.sort(pts ^ t))
+            assert np.array_equal(moved.packed_bits(), _packed(moved.bits))
+    # the packed bytes are rows of 512: n = 12 is one row, n = 13 two,
+    # n = 19 two blocks of 64 rows; t & 7 takes every value 8 times
+    for n in (12, 13, 19):
         a = random_set(n, rng.below((1 << n) + 1), rng)
         pts = a.points()
         top = (1 << n) - 1
-        for t in {0, 1, top, top >> 1, top ^ 1, 1 << (n - 1), rng.below(1 << n)}:
+        ts = [rng.below(1 << n) & ~7 | i % 8 for i in range(64)]
+        for t in ts + [0, top, top >> 1, top ^ 1, 1 << (n - 1)]:
             assert np.array_equal(a.translate(t).points(), np.sort(pts ^ t))
+
+
+def test_packed_bits_are_kept_read_only_and_never_shared():
+    rng = SplitMix64(12)
+    for n in (1, 2, 3, 9, 13):
+        a = random_set(n, rng.below((1 << n) + 1), rng)
+        packed = a.packed_bits()
+        assert packed.dtype == np.uint8 and not packed.flags.writeable
+        assert np.array_equal(packed, _packed(a.bits))
+        assert a.packed_bits() is packed  # kept, not packed again
+        for t in (0, rng.below(1 << n)):
+            moved = a.translate(t)
+            for arr in (moved.bits, moved.packed_bits()):
+                assert not np.shares_memory(arr, packed)
+                assert not np.shares_memory(arr, a.bits)
+            assert not moved.packed_bits().flags.writeable
+
+
+def test_f2set_dumps_packs_a_set_once(monkeypatch):
+    a = random_set(10, 300, SplitMix64(8))
+    calls = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda *args, **kw: calls.append(1) or packbits(*args, **kw))
+    text = f2set_dumps(a)
+    assert f2set_dumps(a) == text and set_sha256(a) == set_sha256(a)
+    assert len(calls) == 1
+    assert f2set_loads(text) == a
 
 
 def test_set_algebra():
