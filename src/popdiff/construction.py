@@ -63,8 +63,8 @@ from .correlation import autocorrelation, popular_difference_set
 from .f2n import (
     DenseSet,
     _check_dim,
-    f2set_dumps,
-    f2set_loads,
+    _payload_dumps,
+    _payload_loads,
     make_set,
     set_sha256,
     translate_packed,
@@ -666,9 +666,8 @@ class CertStats:
 
 
 def _set_payload(s: DenseSet | None) -> str | None:
-    if s is None:
-        return None
-    return f2set_dumps(s).split("\n")[1]
+    """A certificate's set as its F2SET payload line; None stays None."""
+    return None if s is None else _payload_dumps(s)
 
 
 def _canonical_json(obj) -> str:
@@ -680,9 +679,8 @@ def _optional_int(value) -> int | None:
 
 
 def _set_from_payload(n: int, payload: str | None) -> DenseSet | None:
-    if payload is None:
-        return None
-    return f2set_loads(f"F2SET v1 n={n}\n{payload}\n")
+    """A certificate's set parsed as strictly as an F2SET file."""
+    return None if payload is None else _payload_loads(n, payload)
 
 
 @dataclass(frozen=True)
@@ -755,14 +753,26 @@ class Certificate:
         derived field, another JSON type or spelling of a number, and an
         unknown field all fail to parse.
         """
+        return cls._parse(obj, None)
+
+    @classmethod
+    def _parse(cls, obj, text: str | None) -> "Certificate":
+        """The certificate ``obj`` holds, built once; raises ValueError unless
+        ``text``, by default the canonical JSON of ``obj``, is its ``dumps()``."""
         try:
             cert = cls._build(obj)
             canonical = cert.dumps()
-            given = _canonical_json(obj)
+            if text is None:
+                text = _canonical_json(obj)
+            elif text != canonical and _canonical_json(obj) == canonical:
+                # JSON round-trips the canonical object exactly, so a text
+                # that is not dumps() has non-canonical fields or another layout
+                raise ValueError("the certificate text is not in canonical layout")
         except (KeyError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-        if given != canonical:
+        if text != canonical:
             raise ValueError("the certificate is not the canonical form of the fields it holds")
+        object.__setattr__(cert, "_text", text)  # one copy of the text, not two
         return cert
 
     @classmethod
@@ -833,17 +843,7 @@ class Certificate:
             obj = json.loads(text)
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
-        try:
-            cert = cls._build(obj)
-            if text == cert.dumps():
-                object.__setattr__(cert, "_text", text)  # one copy of the text, not two
-                return cert
-        except (KeyError, TypeError, ArithmeticError):
-            pass  # from_json_obj reports the malformed certificate
-        # JSON round-trips the canonical object exactly, so a text that
-        # is not dumps() has either non-canonical fields or another layout
-        cls.from_json_obj(obj)
-        raise ValueError("the certificate text is not in canonical layout")
+        return cls._parse(obj, text)
 
     def write(self, path) -> None:
         Path(path).write_bytes(self.dumps().encode("ascii"))
@@ -943,7 +943,7 @@ def _run_pipeline(
             card_a2=a2.card,
         )
     return Certificate(
-        input_set=a.copy(),
+        input_set=a,
         c=plan.c,
         seed=seed,
         budgets=budgets,

@@ -9,6 +9,11 @@ dyadic rational.  Beside it, a set keeps the same bits packed 8 per byte
 translate kernel (``translate_packed``) and the intersection trials of
 the construction work on that packed view, which is 8x smaller.
 
+This module alone knows the F2SET text.  Its payload codec, which
+certificates use too, swaps the nibbles of each packed byte and writes
+them with ``bytes.hex``; the parser takes only the text the writer gives
+back byte for byte, and a parsed set keeps the bytes it was decoded from.
+
 The dimension is capped at MAX_DIM = 30 so the 2^n-length vectors stay
 addressable in memory.
 """
@@ -50,10 +55,9 @@ def _bit_xor_table() -> np.ndarray:
 _BIT_XOR_TABLE = _bit_xor_table()
 
 _F2SET_HEADER = re.compile(r"^F2SET v1 n=([1-9][0-9]*)$")
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-_HEX_VALUES = np.full(256, 255, dtype=np.uint8)
-for _i, _ch in enumerate(b"0123456789abcdef"):
-    _HEX_VALUES[_ch] = _i
+# the byte with its two nibbles swapped; an involution
+_NIBBLE_SWAP = np.array([(v >> 4) | (v << 4 & 0xF0) for v in range(256)], dtype=np.uint8)
+_NIBBLE_SWAP.flags.writeable = False
 
 
 def _check_dim(n: int) -> int:
@@ -364,14 +368,35 @@ def _f2set_payload_chars(n: int) -> int:
     return max(1, (1 << n) // 4)
 
 
+def _payload_dumps(s: DenseSet) -> str:
+    """The payload line of the F2SET text of s, without its newline."""
+    # byte b holds bits 8b..8b+7 and its low nibble is character 2b, while
+    # bytes.hex writes the high nibble first
+    return _NIBBLE_SWAP[s.packed_bits()].tobytes().hex()[: _f2set_payload_chars(s.n)]
+
+
+def _payload_loads(n: int, payload: str) -> DenseSet:
+    """The set of dimension n with exactly this payload line, else ValueError."""
+    expected_chars = _f2set_payload_chars(n)
+    if len(payload) != expected_chars:
+        raise ValueError(
+            f"payload has {len(payload)} characters, expected {expected_chars} for n={n}"
+        )
+    hex_text = payload + "0" * (expected_chars % 2)  # n <= 2: a zero high nibble
+    try:
+        raw = bytes.fromhex(hex_text)
+    except ValueError:
+        raw = b""
+    if raw.hex() != hex_text:  # fromhex also takes uppercase and skips whitespace
+        raise ValueError("payload contains characters outside lowercase hex")
+    packed = _NIBBLE_SWAP[np.frombuffer(raw, dtype=np.uint8)]
+    if n < 3 and packed[0] >> (1 << n):
+        raise ValueError("padding bits beyond 2^n must be zero")
+    return DenseSet._from_packed(n, packed)
+
+
 def f2set_dumps(s: DenseSet) -> str:
-    # byte b holds bits 8b..8b+7; its low nibble is character 2b
-    packed = s.packed_bits()
-    nibbles = np.empty(2 * packed.size, dtype=np.uint8)
-    np.bitwise_and(packed, 15, out=nibbles[0::2])
-    np.right_shift(packed, 4, out=nibbles[1::2])
-    payload = _HEX_DIGITS[nibbles[: _f2set_payload_chars(s.n)]].tobytes().decode("ascii")
-    return f"F2SET v1 n={s.n}\n{payload}\n"
+    return f"F2SET v1 n={s.n}\n{_payload_dumps(s)}\n"
 
 
 def _header_dim(line: str) -> int:
@@ -388,26 +413,7 @@ def f2set_loads(text: str) -> DenseSet:
     lines = text.split("\n")
     if len(lines) != 3 or lines[2]:
         raise ValueError("F2SET text must be a header line and a payload line, each ending in \\n")
-    n = _header_dim(lines[0])
-    size = 1 << n
-    expected_chars = _f2set_payload_chars(n)
-    payload = lines[1]
-    if len(payload) != expected_chars:
-        raise ValueError(
-            f"payload has {len(payload)} characters, expected {expected_chars} for n={n}"
-        )
-    raw = payload.encode("ascii", errors="replace")
-    values = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
-    if (values == 255).any():
-        raise ValueError("payload contains characters outside lowercase hex")
-    if values.size % 2:  # one character (n <= 2): a zero high nibble
-        values = np.append(values, np.uint8(0))
-    values[1::2] <<= 4
-    values[1::2] |= values[0::2]
-    bits = np.unpackbits(values[1::2], bitorder="little")
-    if bits[size:].any():
-        raise ValueError("padding bits beyond 2^n must be zero")
-    return DenseSet._wrap(n, bits[:size])
+    return _payload_loads(_header_dim(lines[0]), lines[1])
 
 
 def write_set(s: DenseSet, path) -> None:

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,30 @@ def test_bound_values(capsys):
     assert run("bound", "9", "1/4", "1/4") == 0
     assert capsys.readouterr().out.strip() == "0"
     assert run("bound", "8", "1/2", "2") == 1  # c outside (0, 1)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integers of any length to text")
+def test_bound_refuses_a_value_too_long_to_print_before_computing_it(capsys):
+    limit = sys.get_int_max_str_digits()
+    # computed, these would take the high-precision branch at 8n = 800000
+    # bits, and the exact branch on the integer 2^(7.5 * 10^8)
+    for argv, digits in ((("100000", "1/3", "1/16"), 18173),
+                         (("1000000000", "1/2", "1/16"), 225772495)):
+        start = time.perf_counter()
+        assert run("bound", *argv) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"about {digits} decimal digits, more than the {limit}" in err
+    # alpha = 1/2, c = 1/16 is exact at n = 4k: floor(2^(3k - 3) / 12).  The
+    # largest such bound that still prints is computed and printed in full
+    n = max(n for n in range(4, 8 * limit, 4)
+            if construction._decimal_digits((1 << (3 * n // 4 - 3)) // 12) <= limit)
+    assert run("bound", str(n), "1/2", "1/16") == 0
+    assert capsys.readouterr().out == f"{(1 << (3 * n // 4 - 3)) // 12}\n"
+    # one step further the value is computed, and then cannot be printed
+    assert run("bound", str(n + 4), "1/2", "1/16") == 1
+    assert f"({limit} digits)" in capsys.readouterr().err
 
 
 def test_maxsub(tmp_path, capsys):

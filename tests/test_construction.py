@@ -1204,3 +1204,35 @@ def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
     ):
         with pytest.raises(ValueError, match=message):
             Certificate.loads(edit(obj))
+
+
+def test_every_certificate_parse_builds_once(monkeypatch, cert_text):
+    builds = []
+    build = Certificate.__dict__["_build"].__func__
+    monkeypatch.setattr(
+        Certificate, "_build", classmethod(lambda cls, obj: builds.append(1) or build(cls, obj))
+    )
+    obj = json.loads(cert_text)
+    extra = json.loads(NON_CANONICAL_EDITS["extra_field"](obj))
+    for parse, arg, accepted in (
+        (Certificate.loads, cert_text, True),
+        (Certificate.from_json_obj, obj, True),
+        (Certificate.loads, NON_CANONICAL_EDITS["compact_json"](obj), False),
+        (Certificate.loads, NON_CANONICAL_EDITS["extra_field"](obj), False),
+        (Certificate.from_json_obj, extra, False),
+    ):
+        builds.clear()
+        if accepted:
+            assert parse(arg).dumps() == cert_text
+        else:
+            with pytest.raises(ValueError):
+                parse(arg)
+        assert len(builds) == 1
+
+
+def test_from_json_obj_maps_objects_json_cannot_encode_to_value_error(cert_text):
+    for key, value in (("c", Fraction(1, 8)), ("comment", Fraction(1, 2)), (1, "int key")):
+        obj = json.loads(cert_text)
+        obj[key] = value
+        with pytest.raises(ValueError, match="malformed certificate: TypeError"):
+            Certificate.from_json_obj(obj)

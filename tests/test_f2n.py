@@ -1,5 +1,6 @@
 """Core set algebra, generators, and the F2SET file format."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,58 @@ def test_f2set_rejections(text, tmp_path):
     path.write_bytes(text.encode("ascii"))
     with pytest.raises(ValueError):
         read_set(path)
+
+
+# lowercase hex, then uppercase hex, ASCII whitespace (which bytes.fromhex
+# skips), a letter beyond f and two non-ASCII look-alikes
+_PAYLOAD_SYMBOLS = list("0123456789abcdef") + list("AF g\t\r\v\f") + ["é", "０"]
+
+
+def _f2set_rule(n: int, payload: str) -> list[int] | None:
+    """The points the format rule reads from a payload, or None when the
+    rule refuses it: lowercase hex of max(1, 2^n / 4) characters, bit j of
+    character i (least significant first) marking point 4i + j, with the
+    bits from 2^n up zero."""
+    if len(payload) != max(1, (1 << n) // 4) or not set(payload) <= set("0123456789abcdef"):
+        return None
+    bits = [(int(ch, 16) >> j) & 1 for ch in payload for j in range(4)]
+    if any(bits[1 << n :]):
+        return None
+    return [p for p, bit in enumerate(bits) if bit]
+
+
+def test_f2set_payload_strictness_follows_the_format_rule(tmp_path):
+    # every payload of 0-3 characters at n = 1..3, and payloads of 4 at
+    # n = 4 with whitespace between the byte pairs
+    wide = [" 0f ", "0\t0f", "0f\r0", "\v0f0", "0f0\f", "0 f0", "0F0f", "0f0a", "ffff"]
+    cases = [
+        (n, "".join(chars))
+        for n in (1, 2, 3)
+        for k in range(4)
+        for chars in itertools.product(_PAYLOAD_SYMBOLS, repeat=k)
+    ] + [(4, payload) for payload in wide]
+    accepted = 0
+    for n, payload in cases:
+        text = f"F2SET v1 n={n}\n{payload}\n"
+        expected = _f2set_rule(n, payload)
+        if expected is None:
+            with pytest.raises(ValueError):
+                f2set_loads(text)
+            continue
+        s = f2set_loads(text)
+        assert s.n == n and s.point_list() == expected
+        assert f2set_dumps(s) == text
+        accepted += 1
+    # every subset of F_2^n for n = 1..3, and the two hex-only wide payloads
+    assert accepted == 4 + 16 + 256 + 2
+    for payload in wide:  # files take the same path as texts
+        path = tmp_path / "wide.set"
+        path.write_bytes(f"F2SET v1 n=4\n{payload}\n".encode())
+        if _f2set_rule(4, payload) is None:
+            with pytest.raises(ValueError):
+                read_set(path)
+        else:
+            assert read_set(path).point_list() == _f2set_rule(4, payload)
 
 
 @pytest.mark.parametrize(
