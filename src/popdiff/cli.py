@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="popdiff", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a set and write it as F2SET v1")
+    g = sub.add_parser("gen", help="generate a set and write it as an F2SET file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--family", choices=["random", "subspace", "niveau"], required=True)
     g.add_argument("--card", type=int, help="cardinality (random family)")
