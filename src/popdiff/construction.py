@@ -758,7 +758,7 @@ class Certificate:
     @classmethod
     def _parse(cls, obj, text: str | None) -> "Certificate":
         """The certificate ``obj`` holds, built once; raises ValueError unless
-        ``text``, by default the canonical JSON of ``obj``, is its ``dumps()``."""
+        ``text`` (for None, the canonical JSON of ``obj``) is its ``dumps()``."""
         try:
             cert = cls._build(obj)
             canonical = cert.dumps()
