@@ -21,8 +21,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import construction, correlation, f2n, subspace
 from .construction import (
     BoundaryAmbiguous,
@@ -210,17 +208,12 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and args.n >= 1 and 0 < args.alpha <= 1 and 0 < args.c < 1:
-        # log10 of the bound alpha^3 2^(n (1 - la/lc)) / 12, la = log(1/alpha)
-        # and lc = log(1/c), at 53 bits (log1p keeps la exact near alpha = 1):
-        # off by less than n 2^-50, so a bound refused here is too long to
-        # print, and the work at 8n bits or on n-bit powers is never started
-        la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
-                  for q in (args.alpha, args.c))
-        log10 = (args.n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)) / mpmath.log(10)
-        if log10 > limit + 1 + mpmath.ldexp(args.n, -50):
-            raise ValueError(f"the bound has about {int(log10) + 1} decimal digits, more than the "
-                             f"{limit} that Python converts to text (see sys.set_int_max_str_digits)")
+    digits = construction._bound_digits(args.n, args.alpha, args.c)
+    # the estimate is off by at most one, so a bound refused here is too long
+    # to print, and the work at 8n bits or on n-bit powers is never started
+    if limit and digits > limit + 1:
+        raise ValueError(f"the bound has about {digits} decimal digits, more than the "
+                         f"{limit} that Python converts to text (see sys.set_int_max_str_digits)")
     print(construction.theorem_bound(args.n, args.alpha, args.c))
     return 0
 

@@ -591,6 +591,30 @@ def verify_containment(a2: DenseSet, d: DenseSet) -> bool:
     return True
 
 
+def _bound_args(n: int, alpha: Fraction | int, c: Fraction | int) -> tuple[Fraction, Fraction]:
+    """alpha and c as Fractions; raises ValueError outside the bound's domain."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    alpha, c = Fraction(alpha), Fraction(c)
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0 < c < 1:
+        raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
+    return alpha, c
+
+
+def _bound_digits(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
+    """1 + floor(log10) of the unfloored ``theorem_bound``: its digit count
+    off by at most one when the bound is at least 1, however large n is
+    (53 + bit_length(n) bits, log1p exact near alpha = 1), else at most 1."""
+    alpha, c = _bound_args(n, alpha, c)
+    with mpmath.workprec(53 + n.bit_length()):
+        la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
+                  for q in (alpha, c))
+        log10 = (n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)) / mpmath.log(10)
+        return int(mpmath.floor(log10)) + 1
+
+
 def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     """floor(alpha^3 * 2^(n (1 - log(1/alpha)/log(1/c))) / 12).
 
@@ -600,14 +624,7 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     2^-20 away from an integer; nearer than that raises
     BoundaryAmbiguous instead of guessing.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    alpha = Fraction(alpha)
-    c = Fraction(c)
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0 < c < 1:
-        raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
+    alpha, c = _bound_args(n, alpha, c)
 
     def _dyadic_exp(q: Fraction) -> int | None:
         # q = 2^-e exactly, e >= 0

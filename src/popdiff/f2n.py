@@ -377,6 +377,7 @@ def _payload_dumps(s: DenseSet) -> str:
 
 def _payload_loads(n: int, payload: str) -> DenseSet:
     """The set of dimension n with exactly this payload line, else ValueError."""
+    n = _check_dim(n)
     expected_chars = _f2set_payload_chars(n)
     if len(payload) != expected_chars:
         raise ValueError(

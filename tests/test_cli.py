@@ -5,7 +5,6 @@ import json
 import multiprocessing
 import os
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -265,17 +264,20 @@ def test_bound_values(capsys):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this Python converts integers of any length to text")
-def test_bound_refuses_a_value_too_long_to_print_before_computing_it(capsys):
+def test_bound_refuses_a_value_too_long_to_print_before_computing_it(monkeypatch, capsys):
     limit = sys.get_int_max_str_digits()
     # computed, these would take the high-precision branch at 8n = 800000
     # bits, and the exact branch on the integer 2^(7.5 * 10^8)
-    for argv, digits in ((("100000", "1/3", "1/16"), 18173),
-                         (("1000000000", "1/2", "1/16"), 225772495)):
-        start = time.perf_counter()
-        assert run("bound", *argv) == 1
-        assert time.perf_counter() - start < 1
-        err = capsys.readouterr().err
-        assert f"about {digits} decimal digits, more than the {limit}" in err
+    def never(*args):
+        raise AssertionError(f"theorem_bound{args} was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "theorem_bound", never)
+        for argv, digits in ((("100000", "1/3", "1/16"), 18173),
+                             (("1000000000", "1/2", "1/16"), 225772495)):
+            assert run("bound", *argv) == 1
+            err = capsys.readouterr().err
+            assert f"about {digits} decimal digits, more than the {limit}" in err
     # alpha = 1/2, c = 1/16 is exact at n = 4k: floor(2^(3k - 3) / 12).  The
     # largest such bound that still prints is computed and printed in full
     n = max(n for n in range(4, 8 * limit, 4)

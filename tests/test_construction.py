@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -773,14 +774,27 @@ def test_theorem_bound_high_precision_path():
 
 
 def test_theorem_bound_domain_errors():
-    with pytest.raises(ValueError):
-        theorem_bound(8, Fraction(1, 2), Fraction(1))
-    with pytest.raises(ValueError):
-        theorem_bound(8, Fraction(1, 2), Fraction(3, 2))
-    with pytest.raises(ValueError):
-        theorem_bound(8, Fraction(0), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        theorem_bound(0, Fraction(1, 2), Fraction(1, 4))
+    for bound in (theorem_bound, construction._bound_digits):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            bound(8, Fraction(1, 2), Fraction(1))
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            bound(8, Fraction(1, 2), Fraction(3, 2))
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            bound(8, Fraction(0), Fraction(1, 2))
+        with pytest.raises(ValueError, match="n must be positive"):
+            bound(0, Fraction(1, 2), Fraction(1, 4))
+
+
+def test_bound_digits_is_within_one_of_the_digit_count():
+    for n, alpha, c in ((16, Fraction(1, 2), Fraction(1, 16)),
+                        (8000, Fraction(1, 2), Fraction(1, 16)),
+                        (3000, Fraction(1, 3), Fraction(1, 16)),
+                        (2000, Fraction(999, 1000), Fraction(1, 3)),
+                        (500, Fraction(1, 5), Fraction(1, 7)),
+                        (40, Fraction(1), Fraction(2, 3))):
+        digits = len(str(theorem_bound(n, alpha, c)))
+        assert digits > 1
+        assert abs(construction._bound_digits(n, alpha, c) - digits) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -1236,3 +1250,17 @@ def test_from_json_obj_maps_objects_json_cannot_encode_to_value_error(cert_text)
         obj[key] = value
         with pytest.raises(ValueError, match="malformed certificate: TypeError"):
             Certificate.from_json_obj(obj)
+
+
+def test_loads_refuses_a_dimension_out_of_range_before_allocating(cert_text):
+    # the dimension is checked before the payload, whose length is 2^n / 4
+    for n in (0, -1, 31, 10**12):
+        text = canonical_json({**json.loads(cert_text), "n": n})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^dimension must be in \[1, 30\], got {n}$"):
+                Certificate.loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
