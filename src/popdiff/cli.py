@@ -210,7 +210,7 @@ def cmd_bound(args) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     digits = construction._bound_digits(args.n, args.alpha, args.c)
     # the estimate is off by at most one, so a bound refused here is too long
-    # to print, and the work at 8n bits or on n-bit powers is never started
+    # to print, and the exact branch's n-bit powers are never computed
     if limit and digits > limit + 1:
         raise ValueError(f"the bound has about {digits} decimal digits, more than the "
                          f"{limit} that Python converts to text (see sys.set_int_max_str_digits)")

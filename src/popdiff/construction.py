@@ -603,16 +603,28 @@ def _bound_args(n: int, alpha: Fraction | int, c: Fraction | int) -> tuple[Fract
     return alpha, c
 
 
+def _log_bound(n: int, alpha: Fraction, c: Fraction):
+    """Natural log of the unfloored ``theorem_bound`` at the working
+    precision, n (1 - log(1/alpha)/log(1/c)) log 2 - 3 log(1/alpha) - log 12,
+    with log1p keeping log(1/alpha) exact near alpha = 1."""
+    la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
+              for q in (alpha, c))
+    return n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)
+
+
 def _bound_digits(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     """1 + floor(log10) of the unfloored ``theorem_bound``: its digit count
     off by at most one when the bound is at least 1, however large n is
-    (53 + bit_length(n) bits, log1p exact near alpha = 1), else at most 1."""
+    (53 + bit_length(n) bits), else at most 1."""
     alpha, c = _bound_args(n, alpha, c)
     with mpmath.workprec(53 + n.bit_length()):
-        la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
-                  for q in (alpha, c))
-        log10 = (n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)) / mpmath.log(10)
-        return int(mpmath.floor(log10)) + 1
+        return int(mpmath.floor(_log_bound(n, alpha, c) / mpmath.log(10))) + 1
+
+
+# Working bits of the high-precision ``theorem_bound`` beyond the value's
+# integer part and bit_length(n): 20 for the 2^-20 boundary rule, and 44
+# more so that the rounding error stays far below that boundary
+_BOUND_GUARD_BITS = 64
 
 
 def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
@@ -620,9 +632,11 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
 
     When alpha = 2^-a and c = 2^-b with b dividing n(b-a) the exponent is
     an integer and the value is computed exactly.  Otherwise it is
-    evaluated at high precision and floored only when it sits more than
-    2^-20 away from an integer; nearer than that raises
-    BoundaryAmbiguous instead of guessing.
+    evaluated at a precision sized to the value, about log2(value) +
+    bit_length(n) + 64 bits: the log of the value is off by about
+    n 2^-precision, and the value by that much relative to it.  It is
+    floored only when it sits more than 2^-20 away from an integer;
+    nearer than that raises BoundaryAmbiguous instead of guessing.
     """
     alpha, c = _bound_args(n, alpha, c)
 
@@ -639,16 +653,10 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
         value = Fraction(2) ** (e - 3 * a_exp) / 12
         return value.numerator // value.denominator
 
-    with mpmath.workprec(max(160, 8 * n)):
-        la = mpmath.log(mpmath.mpf(alpha.denominator) / alpha.numerator)
-        lc = mpmath.log(mpmath.mpf(c.denominator) / c.numerator)
-        exponent = n * (1 - la / lc)
-        value = (
-            mpmath.mpf(alpha.numerator) ** 3
-            / mpmath.mpf(alpha.denominator) ** 3
-            * mpmath.power(2, exponent)
-            / 12
-        )
+    # 3322 / 1000 > log2(10), so the integer part fits in the first term
+    int_bits = max(0, _bound_digits(n, alpha, c)) * 3322 // 1000 + 1
+    with mpmath.workprec(int_bits + n.bit_length() + _BOUND_GUARD_BITS):
+        value = mpmath.exp(_log_bound(n, alpha, c))
         nearest = mpmath.nint(value)
         if abs(value - nearest) <= mpmath.mpf(2) ** -20:
             raise BoundaryAmbiguous(
@@ -752,14 +760,9 @@ class Certificate:
         }
 
     def dumps(self) -> str:
-        """The canonical text, made once per certificate: a certificate
-        is an immutable value, so ``loads`` and the verifier's byte
-        comparison share one serialization."""
-        text = self.__dict__.get("_text")
-        if text is None:
-            text = _canonical_json(self.to_json_obj())
-            object.__setattr__(self, "_text", text)
-        return text
+        """The canonical text: sorted keys, two-space indentation and a
+        final newline."""
+        return _canonical_json(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj) -> "Certificate":
@@ -789,7 +792,6 @@ class Certificate:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
         if text != canonical:
             raise ValueError("the certificate is not the canonical form of the fields it holds")
-        object.__setattr__(cert, "_text", text)  # one copy of the text, not two
         return cert
 
     @classmethod
@@ -898,15 +900,22 @@ def construct_popular_sumset(
             f"c = {c} exceeds 1/2; pass exploratory=True to run anyway"
         )
     plan = choose_sigma(a.n, a.card, c)
+    _check_writable(plan)
+    return _construct(a, plan, seed, budgets, popular_difference_set(a, c))
+
+
+def _check_writable(plan: ConstructionPlan) -> None:
+    """Raise PlanInfeasible when a certificate with this plan cannot be
+    written: its ``lemma_rhs``, the only certificate integer that can
+    outgrow the smallest limit Python allows (640 digits), has more
+    decimal digits than Python converts to text."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    # lemma_rhs is by far the largest number a certificate holds
     if limit and plan.lemma_rhs >= 10**limit:
         raise PlanInfeasible(
             f"the plan's lemma_rhs has {_decimal_digits(plan.lemma_rhs)} decimal digits, "
             f"more than the {limit} that Python converts to text, so the "
             f"certificate cannot be written (see sys.set_int_max_str_digits)"
         )
-    return _construct(a, plan, seed, budgets, popular_difference_set(a, c))
 
 
 def _decimal_digits(x: int) -> int:
@@ -982,12 +991,14 @@ def verify_certificate(cert: Certificate) -> None:
     pair by pair against a freshly computed D_c(A), the plan is
     re-derived from (n, |A|, c), the stage sets must be present and
     nested, and the whole run is replayed from the stored seed, with no
-    more trials than the stats record, and compared byte for byte.
+    more trials than the stats record, and compared field by field.  That
+    equals a byte comparison: ``dumps`` is a function of the fields, and
+    ``loads`` accepts only the ``dumps()`` text of the certificate it builds.
 
     No check runs twice.  The replay decides the acceptance inequality
     and counts S on the A_0 it reaches, so a stored A_0 it does not reach
     fails ``replay``, and a wrong S on the A_0 it reaches fails
-    ``lemma-soundness``.  A replay with the certificate's bytes has its
+    ``lemma-soundness``.  A replay equal to the certificate has its
     A_2 and D, so a second containment check could not change the verdict.
     """
     a = cert.input_set
@@ -1022,10 +1033,10 @@ def verify_certificate(cert: Certificate) -> None:
     if same_a0 and replay.stats.s_count != cert.stats.s_count:
         raise VerificationError("lemma-soundness", "stored unpopular-pair count is wrong")
     try:
-        same = replace(replay, budgets=cert.budgets, verified=True).dumps() == cert.dumps()
-    except ValueError as exc:  # an integer too long for sys.get_int_max_str_digits()
-        raise VerificationError("replay", f"certificate cannot be written: {exc}") from None
-    if not same:
+        _check_writable(cert.plan)
+    except PlanInfeasible as exc:
+        raise VerificationError("replay", str(exc)) from None
+    if replace(replay, budgets=cert.budgets, verified=True) != cert:
         raise VerificationError("replay", "replayed certificate differs")
 
 

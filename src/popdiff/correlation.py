@@ -24,6 +24,8 @@ import numpy as np
 from . import walsh
 from .f2n import DenseSet
 
+_NAIVE_BLOCK = 1 << 16  # lookups per block of x in naive_autocorrelation
+
 
 @dataclass(frozen=True)
 class Autocorrelation:
@@ -99,12 +101,16 @@ def naive_autocorrelation(a: DenseSet) -> Autocorrelation:
 
     Intended for n small enough that the quadratic-ish cost is fine
     (roughly n <= 14); must agree with ``autocorrelation`` exactly.
+    N_A(x) counts the members y with x + y in A, looked up for blocks of
+    x at a time, which caps the temporary at about 2^16 lookups.
     """
     members = a.points()
     counts = np.zeros(a.size, dtype=np.int64)
     if members.size:
-        for x in range(a.size):
-            counts[x] = int(a.bits[members ^ x].sum())
+        rows = max(1, _NAIVE_BLOCK // members.size)
+        for x in range(0, a.size, rows):
+            xs = np.arange(x, min(x + rows, a.size), dtype=np.int64)
+            counts[x : x + rows] = a.bits[xs[:, None] ^ members[None, :]].sum(axis=1)
     return Autocorrelation(a.n, counts)
 
 

@@ -186,9 +186,6 @@ class DenseSet:
     def point_list(self) -> list[int]:
         return [int(p) for p in np.flatnonzero(self.bits)]
 
-    def copy(self) -> "DenseSet":
-        return DenseSet._wrap(self.n, self.bits.copy())
-
     def translate(self, t: int) -> "DenseSet":
         """The translate {t + a : a in A}; an involution in t.
 
@@ -328,17 +325,20 @@ def xor_member_counts(
 
 
 def linear_subspace(n: int, basis) -> DenseSet:
-    """Span of the given vectors (need not be independent); card = 2^rank."""
+    """Span of the given vectors (need not be independent); card = 2^rank.
+
+    Each vector outside the span so far doubles the span's point array."""
     n = _check_dim(n)
-    span = [0]
-    member = {0}
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    bits[0] = 1
+    span = np.zeros(1, dtype=np.int64)
     for b in basis:
         b = _check_point(n, b)
-        if b not in member:
-            new = [s ^ b for s in span]
-            span.extend(new)
-            member.update(new)
-    return make_set(n, span)
+        if not bits[b]:
+            new = span ^ b
+            bits[new] = 1
+            span = np.concatenate((span, new))
+    return DenseSet._wrap(n, bits)
 
 
 def niveau_set(n: int, weight_threshold: int) -> DenseSet:

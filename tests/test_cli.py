@@ -266,8 +266,8 @@ def test_bound_values(capsys):
                     reason="this Python converts integers of any length to text")
 def test_bound_refuses_a_value_too_long_to_print_before_computing_it(monkeypatch, capsys):
     limit = sys.get_int_max_str_digits()
-    # computed, these would take the high-precision branch at 8n = 800000
-    # bits, and the exact branch on the integer 2^(7.5 * 10^8)
+    # computed, these would take the high-precision branch, and the exact
+    # branch on the integer 2^(7.5 * 10^8)
     def never(*args):
         raise AssertionError(f"theorem_bound{args} was computed")
 

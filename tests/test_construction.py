@@ -1,11 +1,13 @@
 """Plans, stage acceptance, the construction pipeline, and certificates."""
 
+import hashlib
 import json
 import math
 import pickle
 import sys
 import time
 import tracemalloc
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import mpmath
@@ -797,6 +799,77 @@ def test_bound_digits_is_within_one_of_the_digit_count():
         assert abs(construction._bound_digits(n, alpha, c) - digits) <= 1
 
 
+# theorem_bound on its high-precision branch, as computed at a fixed
+# precision of max(160, 8n) bits; None marks BoundaryAmbiguous
+_BOUND_GRID = [
+    (1, Fraction(1, 3), Fraction(1, 16), 0),
+    (3, Fraction(1, 3), Fraction(7, 8), None),
+    (13, Fraction(1, 2), Fraction(1, 16), 8),
+    (13, Fraction(1001, 4000), Fraction(1, 2), None),
+    (13, Fraction(999, 1000), Fraction(7, 8), 636),
+    (40, Fraction(1, 3), Fraction(1, 16), 57470),
+    (40, Fraction(1, 2), Fraction(1, 3), 289),
+    (40, Fraction(1001, 4000), Fraction(1, 16), 1383),
+    (40, Fraction(1), Fraction(7, 8), 91625968981),
+    (97, Fraction(1, 2), Fraction(1, 16), 82729605144987013057),
+    (97, Fraction(999, 1000), Fraction(1, 3), 12383191713218902842604615566),
+    (97, Fraction(1, 3), Fraction(1, 2), None),
+    (160, Fraction(1, 3), Fraction(1, 3), 0),
+    (160, Fraction(1, 2), Fraction(1, 3), 6221901280212807),
+    (160, Fraction(1001, 4000), Fraction(1, 16), 1643250468217922358663),
+    (20000, Fraction(1001, 4000), Fraction(1, 4), 28),
+]
+
+
+def test_theorem_bound_keeps_its_values():
+    for n, alpha, c, expected in _BOUND_GRID:
+        if expected is None:
+            with pytest.raises(BoundaryAmbiguous):
+                theorem_bound(n, alpha, c)
+        else:
+            assert theorem_bound(n, alpha, c) == expected, (n, alpha, c)
+    # alpha = 1/3, c = 1/16 at n = 1000 and 5000: digit count and SHA-256
+    # of the decimal text
+    for n, digits, sha in (
+        (1000, 180, "dbae7c0c1257fcb6e4043ec9a14f28c07a898fdb9f016ad7c8feb9cf60b6039b"),
+        (5000, 907, "64b7f4801094892cb99f4945975dfc97f3df5b7590525959f8c0308c257bbb5b"),
+    ):
+        text = str(theorem_bound(n, Fraction(1, 3), Fraction(1, 16)))
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (digits, sha)
+    # the dyadic exact branch: 2^-29 / 12, which no evaluation could tell
+    # from 0 at the 2^-20 boundary rule
+    assert theorem_bound(11, Fraction(1, 2**10), Fraction(1, 2**11)) == 0
+
+
+def _bound_at(n, alpha, c, prec):
+    """The bound's floor and fractional part, evaluated as
+    alpha^3 2^exponent / 12 at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        la = mpmath.log(mpmath.mpf(alpha.denominator) / alpha.numerator)
+        lc = mpmath.log(mpmath.mpf(c.denominator) / c.numerator)
+        value = (mpmath.mpf(alpha.numerator) / alpha.denominator) ** 3 * mpmath.power(
+            2, n * (1 - la / lc)) / 12
+        floor = mpmath.floor(value)
+        return int(floor), float(value - floor)
+
+
+def test_theorem_bound_works_at_a_precision_sized_to_the_value(monkeypatch):
+    precisions = []
+    workprec = mpmath.workprec
+    monkeypatch.setattr(mpmath, "workprec", lambda prec: precisions.append(prec) or workprec(prec))
+    for n, alpha, c, digits in ((20000, Fraction(1001, 4000), Fraction(1, 4), 2),
+                                (5000, Fraction(1, 3), Fraction(1, 16), 907),
+                                (10**6, Fraction(1001, 4000), Fraction(1, 4), 215)):
+        precisions.clear()
+        value = theorem_bound(n, alpha, c)
+        assert len(str(value)) == digits
+        # room for the 2^-20 boundary rule, and no more than 80 bits beside it
+        sized = value.bit_length() + n.bit_length()
+        assert sized + 20 <= precisions[-1] == max(precisions) <= sized + 80
+        floor, fraction = _bound_at(n, alpha, c, 4000)
+        assert value == floor and 2**-20 < fraction < 1 - 2**-20
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline and certificates
 # ---------------------------------------------------------------------------
@@ -1198,6 +1271,36 @@ def test_replay_runs_under_the_replay_limits_as_its_budgets(monkeypatch):
     assert seen == [Budgets(cert.stats.lemma_trials, cert.stats.refine_trials)]
 
 
+def test_verify_compares_every_certificate_field_with_the_replay():
+    # one in-memory edit per field, each a value of the field's type; the
+    # checks are those the byte comparison of the written certificates gave
+    v = linear_subspace(10, [1 << i for i in range(9)])
+    cert = construct_popular_sumset(
+        v, Fraction(1, 2), seed=3, budgets=Budgets(MAX_TRIALS, MAX_TRIALS)
+    )
+    assert (cert.stats.lemma_trials, cert.stats.refine_trials) == (20, 1)
+    edits = {
+        "input_set": (~v, "replay"),  # a coset: the same |A| and D_c(A)
+        "c": (Fraction(1, 4), "plan"),
+        "seed": (cert.seed + 1, "replay"),
+        "budgets": (Budgets(1, 1), "replay"),
+        "plan": (replace(cert.plan, guarantee=cert.plan.guarantee + 1), "plan"),
+        "translates": ((cert.translates[0] ^ 1,) + cert.translates[1:], "replay"),
+        "a0": (full_set(10), "replay"),
+        "a1": (cert.a0, "replay"),
+        "a2": (make_set(10, cert.a2.point_list()[:1]), "replay"),
+        "stats": (replace(cert.stats, refine_trials=2), "replay"),
+        "verified": (False, "replay"),
+        "guarantee_met": (not cert.guarantee_met, "replay"),
+    }
+    assert list(edits) == [f.name for f in fields(Certificate)]
+    verify_certificate(cert)
+    for name, (value, check) in edits.items():
+        with pytest.raises(VerificationError) as exc:
+            verify_certificate(replace(cert, **{name: value}))
+        assert exc.value.check == check, name
+
+
 def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
     calls = []
     dump = construction._canonical_json
@@ -1205,12 +1308,16 @@ def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
         construction, "_canonical_json", lambda obj: calls.append(1) or dump(obj)
     )
     cert = Certificate.loads(cert_text)
-    assert cert.dumps() == cert_text
-    assert len(calls) == 1  # in loads; the dumps() above reuses its text
-    # the verifier serializes only the replay, and compares its bytes
-    # with the text that loads made
-    verify_certificate(cert)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # the verifier compares the replay with the certificate as values, so
+    # it writes neither of them as text
+    def never(self):
+        raise AssertionError("verify_certificate wrote a certificate")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Certificate, "dumps", never)
+        verify_certificate(cert)
+    assert len(calls) == 1
     obj = json.loads(cert_text)
     for edit, message in (
         (NON_CANONICAL_EDITS["compact_json"], "not in canonical layout"),

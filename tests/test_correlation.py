@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from popdiff import walsh
+from popdiff import correlation, walsh
 from popdiff.correlation import (
     autocorrelation,
     dc_threshold_report,
@@ -55,6 +55,22 @@ def test_fast_equals_naive_exhaustive_n3():
         fast = autocorrelation(a).counts
         assert np.array_equal(fast, naive_autocorrelation(a).counts)
         assert np.array_equal(fast, brute_counts(a))
+
+
+def test_naive_oracle_is_the_double_loop(monkeypatch):
+    # the blocked oracle against the definitional loop over pairs of members
+    for n in range(1, 4):
+        for mask in range(1 << (1 << n)):
+            a = set_from_mask(n, mask)
+            assert np.array_equal(naive_autocorrelation(a).counts, brute_counts(a)), (n, mask)
+    # blocks of 100 lookups, so that these sets take several blocks of x
+    # with a shorter last one
+    monkeypatch.setattr(correlation, "_NAIVE_BLOCK", 100)
+    rng = SplitMix64(56)
+    for n in (5, 6):
+        for _ in range(30):
+            a = random_set(n, rng.below((1 << n) + 1), rng)
+            assert np.array_equal(naive_autocorrelation(a).counts, brute_counts(a))
 
 
 def test_count_invariants_exhaustive_n4():
