@@ -207,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = construction._int_str_limit()
     digits = construction._bound_digits(args.n, args.alpha, args.c)
     # the estimate is off by at most one, so a bound refused here is too long
     # to print, and the exact branch's n-bit powers are never computed

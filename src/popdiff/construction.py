@@ -145,12 +145,31 @@ class Budgets:
                 )
 
 
+def _least(pred) -> int:
+    """Least integer r >= 1 with pred(r), for a predicate that is false
+    below some r and true from it on: doubling finds a true r, then
+    bisection the first one, in at most 2 bit_length(r) calls."""
+    hi = 1
+    while not pred(hi):
+        hi *= 2
+    lo = hi // 2  # pred(lo) is false, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
     """Least positive integer r with c^r <= sigma/2.
 
-    Decided by exact integer powering (cn^r * sd * 2 <= sn * cd^r), never
-    by floating-point logarithms.  Requires 0 < c < 1 (at c = 1 no power
-    ever drops below sigma/2) and 0 < sigma <= 1.
+    The power of c falls with r, so ``_least`` finds r by doubling and
+    bisection, each step decided by exact integer powers
+    (2 sd cn^r <= sn cd^r), never by floating-point logarithms.  Requires
+    0 < c < 1 (at c = 1 no power ever drops below sigma/2) and
+    0 < sigma <= 1.
     """
     sigma = Fraction(sigma)
     c = Fraction(c)
@@ -158,14 +177,9 @@ def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
     if not 0 < sigma <= 1:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    lhs = c.numerator * sigma.denominator * 2
-    rhs = sigma.numerator * c.denominator
-    r = 1
-    while lhs > rhs:
-        lhs *= c.numerator
-        rhs *= c.denominator
-        r += 1
-    return r
+    sn, sd = sigma.numerator, sigma.denominator
+    cn, cd = c.numerator, c.denominator
+    return _least(lambda r: 2 * sd * cn**r <= sn * cd**r)
 
 
 def _lemma_shift(n: int, r: int) -> int:
@@ -257,18 +271,18 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
     """Best plan for the given instance: maximize floor(floor(1/sigma/4)/2).
 
     For each stage count r the largest admissible integer k = 1/sigma is
-    min of the stage-rule bound floor(c.den^r / (2 c.num^r)) and the size
-    restriction (largest k passing ``restrict_holds``).  A k that belongs
-    to an earlier r (k <= k_rule(r - 1)) is never chosen, since r - 1
-    offers one at least as large and ties keep the earlier r; ``validate``
-    re-checks that k belongs to its r.  The search stops at the first r where
-    the size restriction falls below 8 (it never grows with r) or reaches
-    the stage-rule bound (every later candidate belongs to an earlier r),
-    so its length does not grow as c nears 1 unless alpha does too; the
-    powers of c.num, c.den and |A| are kept running.  When no candidate
-    reaches guarantee 1 (the typical outcome of alpha <= c at small n,
-    where the closed-form bound is 0 anyway) the plan is flagged trivial
-    and the caller falls back to the singleton {0}.
+    the min of the stage-rule bound k_rule(r) = floor(c.den^r / (2 c.num^r)),
+    which never falls as r grows, and the size restriction k_size(r) (the
+    largest k passing ``restrict_holds``), which never grows.  So the min
+    rises up to the least r with k_rule >= k_size and falls after it, and
+    its top is k_size there or k_rule one r before; ``_least`` finds that
+    crossing by doubling and bisection.  The plan takes the best guarantee
+    g = floor(top / 8) at the first r that reaches it, the least r with
+    k_rule(r) >= 8g, which is ``lemma_r(1/(8g), c)``; its k then belongs
+    to that r, as ``validate`` re-checks.  When no candidate reaches
+    guarantee 1 (the typical outcome of alpha <= c at small n, where the
+    closed-form bound is 0 anyway) the plan has sigma = 1, is flagged
+    trivial, and the caller falls back to the singleton {0}.
     """
     n = _check_dim(n)
     c = Fraction(c)
@@ -276,45 +290,22 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
     if not 1 <= card_a <= 1 << n:
         raise ValueError(f"cardinality {card_a} out of range for n={n}")
-
-    best: tuple[int, int, int] | None = None  # (guarantee, r, k)
     cn, cd = c.numerator, c.denominator
-    cn_r, cd_r, card_2r = 1, 1, 1  # cn^r, cd^r and |A|^(2r), kept running
-    r = 0
-    while True:
-        r += 1
-        cn_r, cd_r, card_2r = cn_r * cn, cd_r * cd, card_2r * card_a * card_a
-        k_rule = cd_r // (2 * cn_r)
-        k_size = math.isqrt((card_2r - 1) >> _lemma_shift(n, r)) + 1
-        if k_size < 8:
-            # k_size never grows with r (it is constant when |A| = 2^n), so
-            # no later r reaches guarantee floor(floor(k/4)/2) >= 1 either
-            break
-        k = min(k_rule, k_size)
-        if k >= 8:
-            guarantee = (k // 4) // 2
-            if best is None or guarantee > best[0]:
-                best = (guarantee, r, k)
-        if k_rule >= k_size:
-            # from here on k = k_size <= k_rule(r): every later candidate
-            # belongs to an earlier r.  This also ends the loop at |A| = 2^n.
-            break
 
-    if best is None:
-        sigma = Fraction(1, 1)
-        plan = ConstructionPlan(
-            n=n,
-            card_a=card_a,
-            c=c,
-            sigma=sigma,
-            r=lemma_r(sigma, c),
-            target_a1_size=0,
-            guarantee=0,
-            trivial=True,
-        )
-        return plan
+    def k_rule(r: int) -> int:
+        return cd**r // (2 * cn**r)
 
-    guarantee, r, k = best
+    def k_size(r: int) -> int:
+        return math.isqrt((card_a ** (2 * r) - 1) >> _lemma_shift(n, r)) + 1
+
+    cross = _least(lambda r: k_rule(r) >= k_size(r))
+    top = k_size(cross) if cross == 1 else max(k_size(cross), k_rule(cross - 1))
+    guarantee = top // 8
+    if guarantee == 0:
+        k, r = 1, lemma_r(1, c)
+    else:
+        r = lemma_r(Fraction(1, 8 * guarantee), c)
+        k = min(k_rule(r), k_size(r))
     plan = ConstructionPlan(
         n=n,
         card_a=card_a,
@@ -323,7 +314,7 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
         r=r,
         target_a1_size=k // 4,
         guarantee=guarantee,
-        trivial=False,
+        trivial=guarantee == 0,
     )
     plan.validate()
     return plan
@@ -636,7 +627,9 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     bit_length(n) + 64 bits: the log of the value is off by about
     n 2^-precision, and the value by that much relative to it.  It is
     floored only when it sits more than 2^-20 away from an integer;
-    nearer than that raises BoundaryAmbiguous instead of guessing.
+    nearer than that to a positive integer raises BoundaryAmbiguous
+    instead of guessing.  The value is positive, so one within 2^-20 of 0
+    floors to 0.
     """
     alpha, c = _bound_args(n, alpha, c)
 
@@ -658,7 +651,7 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     with mpmath.workprec(int_bits + n.bit_length() + _BOUND_GUARD_BITS):
         value = mpmath.exp(_log_bound(n, alpha, c))
         nearest = mpmath.nint(value)
-        if abs(value - nearest) <= mpmath.mpf(2) ** -20:
+        if nearest > 0 and abs(value - nearest) <= mpmath.mpf(2) ** -20:
             raise BoundaryAmbiguous(
                 f"bound value {value} is within 2^-20 of an integer"
             )
@@ -909,13 +902,19 @@ def _check_writable(plan: ConstructionPlan) -> None:
     written: its ``lemma_rhs``, the only certificate integer that can
     outgrow the smallest limit Python allows (640 digits), has more
     decimal digits than Python converts to text."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _int_str_limit()
     if limit and plan.lemma_rhs >= 10**limit:
         raise PlanInfeasible(
             f"the plan's lemma_rhs has {_decimal_digits(plan.lemma_rhs)} decimal digits, "
             f"more than the {limit} that Python converts to text, so the "
             f"certificate cannot be written (see sys.set_int_max_str_digits)"
         )
+
+
+def _int_str_limit() -> int:
+    """The most decimal digits Python converts an int to text with
+    (``sys.get_int_max_str_digits()``), 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _decimal_digits(x: int) -> int:

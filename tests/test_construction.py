@@ -81,8 +81,8 @@ def test_lemma_r_examples():
 
 
 def test_lemma_r_is_least_satisfying_power():
-    cs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 9)]
-    sigmas = [Fraction(1, 2), Fraction(1, 7), Fraction(3, 11), Fraction(1, 100)]
+    cs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 9), Fraction(999, 1000)]
+    sigmas = [Fraction(1, 2), Fraction(1, 7), Fraction(3, 11), Fraction(1, 100), Fraction(1, 3000)]
     for c in cs:
         for sigma in sigmas:
             r = lemma_r(sigma, c)
@@ -192,6 +192,46 @@ def test_choose_sigma_matches_the_full_search():
                 else:
                     got = (plan.guarantee, plan.r, plan.sigma.denominator)
                     assert not plan.trivial and got == best, (n, card, c)
+
+
+def test_choose_sigma_matches_the_full_search_when_c_is_tiny():
+    # the stage rule crosses the size restriction at r = 1
+    for n in range(1, 11):
+        for card in range(1, (1 << n) + 1):
+            for c in (Fraction(1, 1000), Fraction(1, 2**20)):
+                plan = choose_sigma(n, card, c)
+                best = _full_loop_plan(n, card, c)
+                if best is None:
+                    assert plan.trivial, (n, card, c)
+                else:
+                    got = (plan.guarantee, plan.r, plan.sigma.denominator)
+                    assert not plan.trivial and got == best, (n, card, c)
+
+
+@pytest.mark.parametrize("card, r", [((1 << 16) - 1, 11260), (1 << 16, 11432)])
+def test_choose_sigma_searches_in_logarithmic_steps(monkeypatch, card, r):
+    searches = []  # (predicate calls, result) per search
+    least = construction._least
+
+    def counted(pred):
+        calls = 0
+
+        def spy(x):
+            nonlocal calls
+            calls += 1
+            return pred(x)
+
+        found = least(spy)
+        searches.append((calls, found))
+        return found
+
+    monkeypatch.setattr(construction, "_least", counted)
+    plan = choose_sigma(16, card, Fraction(999, 1000))
+    assert plan.r == r
+    # the crossing, the plan's r and validate's re-check of it
+    assert len(searches) == 3
+    for calls, found in searches:
+        assert calls <= 2 * found.bit_length() + 2, (calls, found)
 
 
 @pytest.mark.parametrize("card", [1, 1 << 15])
@@ -800,12 +840,13 @@ def test_bound_digits_is_within_one_of_the_digit_count():
 
 
 # theorem_bound on its high-precision branch, as computed at a fixed
-# precision of max(160, 8n) bits; None marks BoundaryAmbiguous
+# precision of max(160, 8n) bits; the three 0s at (3, 1/3, 7/8),
+# (13, 1001/4000, 1/2) and (97, 1/3, 1/2) are values within 2^-20 of 0
 _BOUND_GRID = [
     (1, Fraction(1, 3), Fraction(1, 16), 0),
-    (3, Fraction(1, 3), Fraction(7, 8), None),
+    (3, Fraction(1, 3), Fraction(7, 8), 0),
     (13, Fraction(1, 2), Fraction(1, 16), 8),
-    (13, Fraction(1001, 4000), Fraction(1, 2), None),
+    (13, Fraction(1001, 4000), Fraction(1, 2), 0),
     (13, Fraction(999, 1000), Fraction(7, 8), 636),
     (40, Fraction(1, 3), Fraction(1, 16), 57470),
     (40, Fraction(1, 2), Fraction(1, 3), 289),
@@ -813,7 +854,7 @@ _BOUND_GRID = [
     (40, Fraction(1), Fraction(7, 8), 91625968981),
     (97, Fraction(1, 2), Fraction(1, 16), 82729605144987013057),
     (97, Fraction(999, 1000), Fraction(1, 3), 12383191713218902842604615566),
-    (97, Fraction(1, 3), Fraction(1, 2), None),
+    (97, Fraction(1, 3), Fraction(1, 2), 0),
     (160, Fraction(1, 3), Fraction(1, 3), 0),
     (160, Fraction(1, 2), Fraction(1, 3), 6221901280212807),
     (160, Fraction(1001, 4000), Fraction(1, 16), 1643250468217922358663),
@@ -823,11 +864,7 @@ _BOUND_GRID = [
 
 def test_theorem_bound_keeps_its_values():
     for n, alpha, c, expected in _BOUND_GRID:
-        if expected is None:
-            with pytest.raises(BoundaryAmbiguous):
-                theorem_bound(n, alpha, c)
-        else:
-            assert theorem_bound(n, alpha, c) == expected, (n, alpha, c)
+        assert theorem_bound(n, alpha, c) == expected, (n, alpha, c)
     # alpha = 1/3, c = 1/16 at n = 1000 and 5000: digit count and SHA-256
     # of the decimal text
     for n, digits, sha in (
@@ -839,6 +876,23 @@ def test_theorem_bound_keeps_its_values():
     # the dyadic exact branch: 2^-29 / 12, which no evaluation could tell
     # from 0 at the 2^-20 boundary rule
     assert theorem_bound(11, Fraction(1, 2**10), Fraction(1, 2**11)) == 0
+
+
+def test_theorem_bound_refuses_only_near_a_positive_integer(monkeypatch):
+    def bound_with_value(value):
+        monkeypatch.setattr(construction, "_log_bound", lambda n, alpha, c: mpmath.log(value))
+        return theorem_bound(40, Fraction(1, 3), Fraction(1, 2))
+
+    tiny = mpmath.mpf(2) ** -30
+    for k in (1, 5, 10**6):
+        with pytest.raises(BoundaryAmbiguous):
+            bound_with_value(k + tiny)
+        with pytest.raises(BoundaryAmbiguous):
+            bound_with_value(k - tiny)
+        assert bound_with_value(k + mpmath.mpf(2) ** -19) == k
+    # a positive value within 2^-20 of 0 floors to 0
+    assert bound_with_value(tiny) == 0
+    assert bound_with_value(mpmath.mpf(2) ** -20) == 0
 
 
 def _bound_at(n, alpha, c, prec):

@@ -1,9 +1,12 @@
 """SHA-256 digests of the FORMATS.md byte contracts at fixed inputs.
 
 The digests were taken at commit c009e09; the niveau certificate's at
-commit 43f2de3, before the complement route existed.  A change that
-alters any certificate, F2SET file, counts CSV or sweep CSV byte for the
-same inputs fails here.
+commit 43f2de3, before the complement route existed.  niveau.csv's was
+retaken when ``theorem_bound`` began to floor a value within 2^-20 of 0
+to 0 instead of refusing it: its four c = 3/4 rows gained
+``theorem_bound`` 0 and ``bound_ok`` true, and no other byte changed.
+A change that alters any certificate, F2SET file, counts CSV or sweep
+CSV byte for the same inputs fails here.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ GOLDEN = {
     "D_n12.set": "a63501fe4ea2995a63558b7fc95b7121f8de1eab6b77eb2800122b257ea86af5",
     "counts_n12.csv": "311c2091227754ae4eac81d3195aeeba05685f153c5e1bb613b88b183336b507",
     "random.csv": "a2c87c7b77f6f6a29eca3c3b888f1a5a7f5aa3685d8bfa7aee846b26bda5cdc1",
-    "niveau.csv": "22f6aa01bb50a5d457943b63435a8ea84795a6080210ba827635248b61cc5fee",
+    "niveau.csv": "2be08e3cf7540355f56514209df6efb5491a02e0b4ae2f13bdd9b5bca90fedb5",
 }
 
 
