@@ -348,6 +348,11 @@ def cmd_sweep(args) -> int:
     for n in args.n:
         if not 1 <= n <= f2n.MAX_DIM:
             raise _UsageError(f"sweep dimension n={n} is outside [1, {f2n.MAX_DIM}]")
+        if subspace.SEARCH_DIM_CAP < n <= args.subspace_cap:
+            raise _UsageError(
+                f"exact subspace search is capped at n={subspace.SEARCH_DIM_CAP}, "
+                f"but --subspace-cap {args.subspace_cap} asks for it at n={n}"
+            )
     for alpha in args.alpha:
         if not 0 <= alpha <= 1:
             raise _UsageError(f"sweep density alpha={alpha} is outside [0, 1]")

@@ -203,7 +203,8 @@ def restrict_holds(n: int, card_a: int, r: int, inv_sigma: int) -> bool:
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """Chosen (sigma, r) plus the integer thresholds of every stage.
+    """Chosen (sigma, r) for an instance (n, |A|, c); the target size, the
+    guarantee and the integer threshold of every stage derive from them.
 
     sigma is always the reciprocal of a positive integer, which keeps
     floor(1/sigma / 4) and every cross-multiplied threshold exact and the
@@ -215,9 +216,21 @@ class ConstructionPlan:
     c: Fraction
     sigma: Fraction
     r: int
-    target_a1_size: int  # m = floor(1/sigma / 4)
-    guarantee: int  # floor(m / 2)
-    trivial: bool
+
+    @property
+    def target_a1_size(self) -> int:
+        """m = floor(1/sigma / 4)."""
+        return self.sigma.denominator // 4
+
+    @property
+    def guarantee(self) -> int:
+        """floor(m / 2), the |A_2| the construction guarantees."""
+        return self.target_a1_size // 2
+
+    @property
+    def trivial(self) -> bool:
+        """No guarantee: the construction falls back to the singleton {0}."""
+        return self.guarantee == 0
 
     @property
     def lemma_shift(self) -> int:
@@ -238,20 +251,16 @@ class ConstructionPlan:
         return (sd - 3 * sn) * self.target_a1_size
 
     def validate(self) -> None:
-        """Re-check the plan invariants; raises on any violation."""
-        sn, sd = self.sigma.numerator, self.sigma.denominator
-        if sn != 1:
+        """Re-check the plan invariants; raises on any violation.
+
+        With sigma = 1/sd, 3 sigma m < 1 holds by itself, as
+        3 floor(sd / 4) < sd."""
+        if self.sigma.numerator != 1:
             raise SoundnessError("plan sigma must be the reciprocal of an integer")
         if self.r != lemma_r(self.sigma, self.c):
             raise SoundnessError("plan r does not match the stage parameter rule")
-        if not restrict_holds(self.n, self.card_a, self.r, sd):
+        if not restrict_holds(self.n, self.card_a, self.r, self.sigma.denominator):
             raise SoundnessError("plan violates the size restriction")
-        if self.target_a1_size != sd // 4:
-            raise SoundnessError("plan target size is not floor(1/sigma / 4)")
-        if 3 * sn * self.target_a1_size >= sd:
-            raise SoundnessError("plan violates 3 * sigma * m < 1")
-        if self.guarantee != self.target_a1_size // 2:
-            raise SoundnessError("plan guarantee is not floor(m / 2)")
 
     def to_json_obj(self) -> dict:
         return {
@@ -281,7 +290,7 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
     k_rule(r) >= 8g, which is ``lemma_r(1/(8g), c)``; its k then belongs
     to that r, as ``validate`` re-checks.  When no candidate reaches
     guarantee 1 (the typical outcome of alpha <= c at small n, where the
-    closed-form bound is 0 anyway) the plan has sigma = 1, is flagged
+    closed-form bound is 0 anyway) the plan has sigma = 1, so it is
     trivial, and the caller falls back to the singleton {0}.
     """
     n = _check_dim(n)
@@ -306,16 +315,7 @@ def choose_sigma(n: int, card_a: int, c: Fraction | int) -> ConstructionPlan:
     else:
         r = lemma_r(Fraction(1, 8 * guarantee), c)
         k = min(k_rule(r), k_size(r))
-    plan = ConstructionPlan(
-        n=n,
-        card_a=card_a,
-        c=c,
-        sigma=Fraction(1, k),
-        r=r,
-        target_a1_size=k // 4,
-        guarantee=guarantee,
-        trivial=guarantee == 0,
-    )
+    plan = ConstructionPlan(n=n, card_a=card_a, c=c, sigma=Fraction(1, k), r=r)
     plan.validate()
     return plan
 
@@ -403,9 +403,12 @@ def _pairs_out(x: DenseSet, d: DenseSet) -> int:
 
 @dataclass(frozen=True)
 class LemmaOutcome:
-    accepted: bool
     s_count: int  # ordered pairs of A'^2 whose sum is unpopular
-    deficit: int  # rhs - lhs of the acceptance inequality; <= 0 iff accepted
+    deficit: int  # rhs - lhs of the acceptance inequality
+
+    @property
+    def accepted(self) -> bool:
+        return self.deficit <= 0
 
 
 def lemma_accept(
@@ -423,9 +426,7 @@ def lemma_accept(
     s_count = _pairs_out(a_prime, d)
     sn, sd = plan.sigma.numerator, plan.sigma.denominator
     lhs = (sn * pairs - sd * s_count) << plan.lemma_shift
-    return LemmaOutcome(
-        accepted=lhs >= plan.lemma_rhs, s_count=s_count, deficit=plan.lemma_rhs - lhs
-    )
+    return LemmaOutcome(s_count=s_count, deficit=plan.lemma_rhs - lhs)
 
 
 @dataclass(frozen=True)
@@ -665,22 +666,12 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
 
 @dataclass(frozen=True)
 class CertStats:
+    """What the randomized stages measured; None on a trivial plan."""
+
     lemma_trials: int | None
-    card_a0: int | None
     s_count: int | None
     refine_trials: int | None
     a1_pairs_in_d: int | None
-    card_a2: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "lemma_trials": self.lemma_trials,
-            "card_a0": self.card_a0,
-            "s_count": self.s_count,
-            "refine_trials": self.refine_trials,
-            "a1_pairs_in_d": self.a1_pairs_in_d,
-            "card_a2": self.card_a2,
-        }
 
 
 def _set_payload(s: DenseSet | None) -> str | None:
@@ -709,11 +700,12 @@ class Certificate:
     set itself (hex payload), the exact parameters, the seed and budgets,
     the accepted intermediate sets, and the stage statistics.  Serialization
     is canonical (sorted keys, fixed indentation), so identical runs yield
-    byte-identical files.
+    byte-identical files.  A value that other fields determine is read off
+    them, not stored: ``c`` from the plan, the set cardinalities from the
+    sets, ``guarantee_met`` from A_2 and the plan.
     """
 
     input_set: DenseSet
-    c: Fraction
     seed: int
     budgets: Budgets
     plan: ConstructionPlan
@@ -723,11 +715,18 @@ class Certificate:
     a2: DenseSet
     stats: CertStats
     verified: bool
-    guarantee_met: bool
 
     @property
     def n(self) -> int:
         return self.input_set.n
+
+    @property
+    def c(self) -> Fraction:
+        return self.plan.c
+
+    @property
+    def guarantee_met(self) -> bool:
+        return self.a2.card >= self.plan.guarantee
 
     def to_json_obj(self) -> dict:
         return {
@@ -747,7 +746,11 @@ class Certificate:
             "a0": _set_payload(self.a0),
             "a1": _set_payload(self.a1),
             "a2": _set_payload(self.a2),
-            "stats": self.stats.to_json_obj(),
+            "stats": {
+                **vars(self.stats),
+                "card_a0": None if self.a0 is None else self.a0.card,
+                "card_a2": self.a2.card,
+            },
             "verified": self.verified,
             "guarantee_met": self.guarantee_met,
         }
@@ -793,6 +796,8 @@ class Certificate:
             raise ValueError(f"unsupported certificate format: {obj['format']!r}")
         n = int(obj["n"])
         c = Fraction(obj["c"])
+        if c < 0:
+            raise ValueError(f"c must be non-negative, got {c}")
         input_set = _set_from_payload(n, obj["input_set"])
         if input_set is None:
             raise ValueError("certificate is missing the input set")
@@ -803,9 +808,6 @@ class Certificate:
             c=c,
             sigma=Fraction(plan_obj["sigma"]),
             r=int(plan_obj["r"]),
-            target_a1_size=int(plan_obj["target_a1_size"]),
-            guarantee=int(plan_obj["guarantee"]),
-            trivial=bool(plan_obj["trivial"]),
         )
         # lemma_rhs = sn * |A|^(2r) has at least 2r(bit_length(|A|) - 1) + 1
         # bits when sn >= 1 (every plan's sigma); refusing a shorter stored
@@ -824,7 +826,6 @@ class Certificate:
         stats_obj = obj["stats"]
         return cls(
             input_set=input_set,
-            c=c,
             seed=seed,
             budgets=Budgets(
                 lemma_trials=int(obj["budgets"]["lemma_trials"]),
@@ -837,14 +838,11 @@ class Certificate:
             a2=a2,
             stats=CertStats(
                 lemma_trials=_optional_int(stats_obj["lemma_trials"]),
-                card_a0=None if a0 is None else a0.card,
                 s_count=_optional_int(stats_obj["s_count"]),
                 refine_trials=_optional_int(stats_obj["refine_trials"]),
                 a1_pairs_in_d=_optional_int(stats_obj["a1_pairs_in_d"]),
-                card_a2=a2.card,
             ),
             verified=bool(obj["verified"]),
-            guarantee_met=bool(obj["guarantee_met"]),
         )
 
     @classmethod
@@ -953,7 +951,7 @@ def _run_pipeline(
         # 0 is in D_c(A) for c < 1: N_A(0) = |A| > c|A|^2 / 2^n
         a2 = make_set(a.n, [0])
         translates, a0, a1 = (), None, None
-        stats = CertStats(None, None, None, None, None, a2.card)
+        stats = CertStats(None, None, None, None)
     else:
         lemma = find_lemma_set(a, plan, d, rng, budgets.lemma_trials)
         refine = refine_a1(lemma.a0, plan, d, rng, budgets.refine_trials)
@@ -961,15 +959,12 @@ def _run_pipeline(
         translates, a0, a1 = lemma.translates, lemma.a0, refine.a1
         stats = CertStats(
             lemma_trials=lemma.trials,
-            card_a0=lemma.a0.card,
             s_count=lemma.s_count,
             refine_trials=refine.trials,
             a1_pairs_in_d=refine.pairs_in_d,
-            card_a2=a2.card,
         )
     return Certificate(
         input_set=a,
-        c=plan.c,
         seed=seed,
         budgets=budgets,
         plan=plan,
@@ -979,7 +974,6 @@ def _run_pipeline(
         a2=a2,
         stats=stats,
         verified=False,
-        guarantee_met=a2.card >= plan.guarantee,
     )
 
 

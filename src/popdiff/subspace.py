@@ -167,7 +167,7 @@ def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
         # near-full sets: one linear solve decides whether dimension n-1
         # is attainable, which is what otherwise forces a huge refutation
         # (below half density the cap is already at most n-2)
-        missing = np.flatnonzero(bits == 0).astype(np.int64)
+        missing = d.outside_points()
         if missing.size:
             dim_cap = min(dim_cap, d.n - 1 if _hyperplane_avoids_all(d.n, missing) else d.n - 2)
     state = {

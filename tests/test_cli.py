@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from popdiff import cli, construction
+from popdiff import cli, construction, subspace
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
 from popdiff.correlation import Autocorrelation, popular_difference_set
@@ -194,6 +194,46 @@ def test_verify_malformed_certificate_is_a_schema_failure(small_cert, tmp_path, 
     bad.write_text(edit(json.loads(small_cert.read_text())))
     assert run("verify", str(bad)) == 3
     assert "schema" in capsys.readouterr().err
+
+
+_DERIVED_EDITS = {
+    "plan.target_a1_size":
+        lambda obj: obj["plan"].update(target_a1_size=obj["plan"]["target_a1_size"] + 1),
+    "plan.guarantee": lambda obj: obj["plan"].update(guarantee=obj["plan"]["guarantee"] + 1),
+    "plan.trivial": lambda obj: obj["plan"].update(trivial=not obj["plan"]["trivial"]),
+    "guarantee_met": lambda obj: obj.update(guarantee_met=not obj["guarantee_met"]),
+    "plan.guarantee_missing": lambda obj: obj["plan"].pop("guarantee"),
+    "guarantee_met_missing": lambda obj: obj.pop("guarantee_met"),
+}
+
+
+@pytest.mark.parametrize("edit", _DERIVED_EDITS.values(), ids=_DERIVED_EDITS.keys())
+def test_an_edited_derived_field_is_a_schema_failure(small_cert, tmp_path, capsys, edit):
+    # the plan's m, guarantee and trivial flag and the guarantee_met flag
+    # derive from sigma and A_2, so the parser refuses any other stored value
+    obj = json.loads(small_cert.read_text())
+    edit(obj)
+    text = canonical_json(obj)
+    with pytest.raises(ValueError, match="not the canonical form of the fields it holds"):
+        construction.Certificate.loads(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run("verify", str(bad)) == 3
+    assert "verification check 'schema' failed" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_negative_c_at_schema(small_cert, tmp_path, capsys):
+    obj = json.loads(small_cert.read_text())
+    bad = tmp_path / "bad.json"
+    for c, code, message in (
+        ("-1/4", 3, "verification check 'schema' failed: c must be non-negative, got -1/4"),
+        ("0", 3, "verification check 'plan' failed"),
+        ("1", 3, "verification check 'containment' failed"),
+    ):
+        bad.write_text(canonical_json({**obj, "c": c}))
+        capsys.readouterr()
+        assert run("verify", str(bad)) == code, c
+        assert message in capsys.readouterr().err, c
 
 
 def test_seed_outside_64_bits_is_a_usage_error(small_cert, tmp_path):
@@ -425,6 +465,25 @@ def test_sweep_rejects_grids_it_cannot_run(tmp_path, monkeypatch, grid):
     out = tmp_path / "s.csv"
     assert run("sweep", *grid, "--c", "1/4", "--out", str(out)) == 1
     assert not out.exists()
+
+
+def test_sweep_refuses_the_subspace_search_above_its_cap(tmp_path, monkeypatch, capsys):
+    # as maxsub does, and before any cell runs or the CSV is opened
+    monkeypatch.setattr(cli, "_sweep_cell", None)
+    cap = subspace.SEARCH_DIM_CAP
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--n", f"6,{cap + 1}", "--alpha", "1/2", "--c", "1",
+               "--subspace-cap", str(cap + 1), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: exact subspace search is capped at n={cap}, "
+        f"but --subspace-cap {cap + 1} asks for it at n={cap + 1}\n")
+    assert not out.exists()
+    # a grid whose large n lie above --subspace-cap, or at most at the
+    # search's cap, runs
+    monkeypatch.setattr(cli, "_sweep_cell", lambda n, *rest: {"n": n})
+    for grid in ((f"{cap},{cap + 1}", str(cap)), (str(cap), str(cli.f2n.MAX_DIM))):
+        assert run("sweep", "--n", grid[0], "--alpha", "1/2", "--c", "1",
+                   "--subspace-cap", grid[1], "--out", str(out)) == 0
 
 
 def test_sweep_keeps_reason_rows_at_alpha_zero_and_c_one(tmp_path):

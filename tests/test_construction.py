@@ -322,11 +322,9 @@ def _stage_plan(a, c, sigma, r=None):
     """A plan with the given (c, sigma, r) for stage tests on A; r
     defaults to the stage parameter rule."""
     c, sigma = Fraction(c), Fraction(sigma)
-    k = sigma.denominator
     return ConstructionPlan(
         n=a.n, card_a=a.card, c=c, sigma=sigma,
         r=lemma_r(sigma, c) if r is None else r,
-        target_a1_size=k // 4, guarantee=k // 4 // 2, trivial=False,
     )
 
 
@@ -449,9 +447,9 @@ def test_refine_single_point_diagonal_case():
     assert 0 in d
     plan = ConstructionPlan(
         n=6, card_a=48, c=Fraction(1, 4), sigma=Fraction(1, 4),
-        r=lemma_r(Fraction(1, 4), Fraction(1, 4)), target_a1_size=1,
-        guarantee=0, trivial=False,
+        r=lemma_r(Fraction(1, 4), Fraction(1, 4)),
     )
+    assert plan.target_a1_size == 1
     stage = refine_a1(a, plan, d, SplitMix64(0))
     assert stage.trials == 1 and stage.a1.card == 1
 
@@ -1249,8 +1247,8 @@ def test_verify_catches_consistently_forged_plan():
     forged = ConstructionPlan(
         n=cert.plan.n, card_a=cert.plan.card_a, c=cert.plan.c,
         sigma=Fraction(1, 128), r=lemma_r(Fraction(1, 128), cert.plan.c),
-        target_a1_size=32, guarantee=16, trivial=False,
     )
+    assert (forged.target_a1_size, forged.guarantee, forged.trivial) == (32, 16, False)
     bad = Certificate.from_json_obj(
         _tampered_obj(cert, lambda o: o.update(plan=forged.to_json_obj()))
     )
@@ -1335,17 +1333,15 @@ def test_verify_compares_every_certificate_field_with_the_replay():
     assert (cert.stats.lemma_trials, cert.stats.refine_trials) == (20, 1)
     edits = {
         "input_set": (~v, "replay"),  # a coset: the same |A| and D_c(A)
-        "c": (Fraction(1, 4), "plan"),
         "seed": (cert.seed + 1, "replay"),
         "budgets": (Budgets(1, 1), "replay"),
-        "plan": (replace(cert.plan, guarantee=cert.plan.guarantee + 1), "plan"),
+        "plan": (replace(cert.plan, c=Fraction(1, 4)), "plan"),
         "translates": ((cert.translates[0] ^ 1,) + cert.translates[1:], "replay"),
         "a0": (full_set(10), "replay"),
         "a1": (cert.a0, "replay"),
         "a2": (make_set(10, cert.a2.point_list()[:1]), "replay"),
         "stats": (replace(cert.stats, refine_trials=2), "replay"),
         "verified": (False, "replay"),
-        "guarantee_met": (not cert.guarantee_met, "replay"),
     }
     assert list(edits) == [f.name for f in fields(Certificate)]
     verify_certificate(cert)
@@ -1353,6 +1349,10 @@ def test_verify_compares_every_certificate_field_with_the_replay():
         with pytest.raises(VerificationError) as exc:
             verify_certificate(replace(cert, **{name: value}))
         assert exc.value.check == check, name
+    # a sigma of another plan changes every value derived from it
+    with pytest.raises(VerificationError) as exc:
+        verify_certificate(replace(cert, plan=replace(cert.plan, sigma=Fraction(1, 128))))
+    assert exc.value.check == "plan"
 
 
 def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):

@@ -38,13 +38,10 @@ def dense_sets(draw, n=None):
 def certificates(draw):
     a = draw(dense_sets())
     n, sets = a.n, dense_sets(a.n)
-    c = draw(st.fractions(max_denominator=1 << 20))
-    a0 = draw(st.none() | sets)
-    a2 = draw(sets)
+    c = draw(st.fractions(min_value=0, max_denominator=1 << 20))
     counts = st.none() | st.integers(0, 1 << 40)
     return Certificate(
         input_set=a,
-        c=c,
         seed=draw(st.integers(0, (1 << 64) - 1)),
         budgets=Budgets(draw(st.integers(1, 1000)), draw(st.integers(1, 1000))),
         plan=ConstructionPlan(
@@ -53,24 +50,18 @@ def certificates(draw):
             c=c,
             sigma=Fraction(1, draw(st.integers(1, 1 << 20))),
             r=draw(st.integers(1, 8)),
-            target_a1_size=draw(st.integers(0, 1 << 18)),
-            guarantee=draw(st.integers(0, 1 << 17)),
-            trivial=draw(st.booleans()),
         ),
         translates=tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))),
-        a0=a0,
+        a0=draw(st.none() | sets),
         a1=draw(st.none() | sets),
-        a2=a2,
+        a2=draw(sets),
         stats=CertStats(
             lemma_trials=draw(counts),
-            card_a0=None if a0 is None else a0.card,
             s_count=draw(counts),
             refine_trials=draw(counts),
             a1_pairs_in_d=draw(counts),
-            card_a2=a2.card,
         ),
         verified=draw(st.booleans()),
-        guarantee_met=draw(st.booleans()),
     )
 
 

@@ -149,6 +149,22 @@ def test_near_full_sets_shortcut():
     assert max_subspace_in(d).dim == 14
 
 
+def test_near_full_search_takes_the_missing_points_from_the_set(monkeypatch):
+    # the search lists the points outside D through D's own cache, so the
+    # construction's complement route on the same D lists none again
+    listed = DenseSet.outside_points
+    calls = []
+    monkeypatch.setattr(
+        DenseSet, "outside_points", lambda self: calls.append(listed(self)) or calls[-1]
+    )
+    bits = np.ones(1 << 10, dtype=np.uint8)
+    bits[[3, 5, 6, 700]] = 0
+    d = DenseSet(10, bits)
+    assert max_subspace_in(d).dim == 8  # no hyperplane avoids 3, 5 and 6 = 3 + 5
+    assert len(calls) == 1 and calls[0].tolist() == [3, 5, 6, 700]
+    assert listed(d) is calls[0]
+
+
 def test_span_subset_cases():
     v = linear_subspace(5, [1, 2])
     assert linear_subspace(5, []).subset_of(v)        # span {0}
