@@ -22,13 +22,33 @@ Each node of the search holds, for the chain B built so far:
 The work at a node grows with |T| and its candidates, never with 2^n, so
 sparse sets stay cheap at large n.
 
-Pruning never affects correctness: the global cap dim <= log2 |D| (with
-the hyperplane shortcut for near-full sets), and the subtree cap
-dim <= depth + floor(log2(#candidates + 1)), valid because every nonzero
-coset of a subtree subspace has its minimum in the candidate set.  The
-children of every v with one pivot lie among the later candidates that
-are 0 at that pivot, so the cap is first tried on that set, once per
-pivot, and then on the exact children, found for a block of v at a time.
+Pruning never affects correctness, because every cap below is exact:
+
+* Global caps, set before the search.  2^dim <= |D|, and dim <= the
+  largest Hamming weight in D: the sum of a subspace's echelon basis has
+  a 1 at every pivot, so a k-dimensional subspace holds a point of
+  weight >= k.  The weights are counted only when D's largest point
+  weighs less than the first cap.  Near-full sets take the hyperplane
+  shortcut.
+* The pivot-count cap on a subtree.  Let C be a node's candidates and
+  cap(C) the length of the longest run of pivots p_1 < ... < p_e such
+  that C holds at least 2^(i-1) vectors with top bit p_i.  Take any
+  extension v_1 < ... < v_e in the subtree.  It spans an M whose
+  nonzero points are coset minima modulo span(B) that lie in T above
+  the last vector, so they all lie in C.  The v_i are M's
+  reduced-echelon basis, with pivots p_1 < ... < p_e, and exactly
+  2^(i-1) points of M have top bit p_i.  So e <= cap(C).  A run of
+  length e asks for 1 + 2 + ... + 2^(e-1) = 2^e - 1 vectors of C, so
+  cap(C) <= floor(log2(|C|+1)), the count cap.  The count cap is free
+  and tried first.  The pivot-count cap takes one searchsorted of C
+  against the powers of two and a greedy pass in ascending pivot order,
+  so it is taken only when the count cap does not prune and the best
+  found needs a chain of length >= 1.
+
+The children of every v with one pivot lie among the later candidates
+that are 0 at that pivot, so the caps are tried at each node, on that
+set once per pivot, and on the exact children of each v, found for a
+block of v at a time.
 
 The depth-first search visits chains in ascending lexicographic order,
 so the first chain reaching the best dimension is the lexicographically
@@ -77,6 +97,36 @@ class _Stop(Exception):
 
 
 _BLOCK = 1 << 16  # gathers per child-test block in _search; bounds its temporaries
+_POWERS = np.int64(1) << np.arange(63, dtype=np.int64)
+_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
+
+
+def _pivot_cap(cands: np.ndarray) -> int:
+    """Largest e with pivots p_1 < ... < p_e such that ``cands`` (sorted,
+    nonzero) holds at least 2^(i-1) vectors with top bit p_i.
+
+    A greedy pass in ascending pivot order finds it: taking the first
+    pivot that can fill the next place never shortens the run, since the
+    count needed only grows along it.
+    """
+    top = int(cands[-1]).bit_length() if len(cands) else 0
+    counts = np.diff(cands.searchsorted(_POWERS[: top + 1]))
+    cap = 0
+    for count in counts.tolist():
+        if count >> cap:
+            cap += 1
+    return cap
+
+
+def _chain_cap(cands: np.ndarray, to_beat: int) -> int:
+    """A cap on the length of a chain drawn from ``cands``: the count cap
+    floor(log2(|C| + 1)), or the pivot-count cap when the count cap
+    exceeds ``to_beat`` and the pivot-count cap (at least 1 for any
+    nonempty C) could still be at most ``to_beat``."""
+    count_cap = (len(cands) + 1).bit_length() - 1
+    if count_cap <= to_beat or to_beat < 1:
+        return count_cap
+    return _pivot_cap(cands)
 
 
 def _search(t: np.ndarray, cands: np.ndarray, level: np.ndarray, basis: list[int], state: dict) -> None:
@@ -92,7 +142,8 @@ def _search(t: np.ndarray, cands: np.ndarray, level: np.ndarray, basis: list[int
         state["best_basis"] = tuple(basis)
         if depth >= state["dim_cap"]:
             raise _Stop
-    if not len(cands):
+    to_beat = state["best_dim"] - depth
+    if not len(cands) or _chain_cap(cands, to_beat) <= to_beat:
         return
     if depth:
         t = t[level[t ^ basis[-1]] >= depth - 1]
@@ -106,7 +157,7 @@ def _search(t: np.ndarray, cands: np.ndarray, level: np.ndarray, basis: list[int
         group, rest = cands[start:end], cands[end:]
         start = end
         rest = rest[(rest >> pivot & 1) == 0]
-        bound = (len(rest) + 1).bit_length()
+        bound = 1 + _chain_cap(rest, state["best_dim"] - depth - 1)
         step = max(1, _BLOCK // max(1, len(rest)))
         for lo in range(0, len(group), step):
             if depth + bound <= state["best_dim"]:
@@ -151,6 +202,14 @@ def _hyperplane_avoids_all(n: int, missing: np.ndarray) -> bool:
     return not bool((aug[:, :n].any(axis=1) == 0)[aug[:, n] == 1].any())
 
 
+def _max_weight(points: np.ndarray) -> int:
+    """Largest Hamming weight of the (sorted, nonempty) ``points``."""
+    weights = _BYTE_WEIGHTS[points & 255]
+    for shift in range(8, int(points[-1]).bit_length(), 8):
+        weights = weights + _BYTE_WEIGHTS[points >> shift & 255]
+    return int(weights.max())
+
+
 def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
     """A maximum-cardinality linear subspace contained in ``d``, exactly.
 
@@ -162,7 +221,10 @@ def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
     bits = d.bits
     if not bits[0]:
         return MaxSubspaceResult(SubspaceBasis(d.n, ()), zero_in_set=False)
+    points = d.points()
     dim_cap = d.card.bit_length() - 1  # 2^dim <= |D| always
+    if int(points[-1]).bit_count() < dim_cap:  # else the weight cap cannot be lower
+        dim_cap = min(dim_cap, _max_weight(points))
     if dim_cap >= d.n - 1:
         # near-full sets: one linear solve decides whether dimension n-1
         # is attainable, which is what otherwise forces a huge refutation
@@ -175,7 +237,6 @@ def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
         "best_basis": (),
         "dim_cap": dim_cap,
     }
-    points = d.points()
     level = bits.astype(np.int8) - 1  # members of D at level 0, the rest at -1
     try:
         _search(points, points[1:], level, [], state)

@@ -108,6 +108,17 @@ def set_from_mask(n: int, mask: int) -> DenseSet:
     return DenseSet(n, bits)
 
 
+def pytest_collection_modifyitems(items):
+    # To explain a failing property, Hypothesis imports libcst, whose import
+    # warns that mypy_extensions.TypedDict is deprecated.  Under `-W error`
+    # that warning ends the session in an INTERNALERROR instead of the
+    # falsifying example.  Filters from marks are applied after `-W`, so
+    # this one wins for exactly that warning.
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"))
+
+
 @pytest.fixture(scope="session")
 def subspaces_n4() -> list[tuple[int, ...]]:
     subs = all_subspaces(4)

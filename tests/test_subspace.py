@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from popdiff import subspace
 from popdiff.correlation import popular_difference_set
-from popdiff.f2n import DenseSet, full_set, linear_subspace, make_set, random_set
+from popdiff.f2n import DenseSet, full_set, linear_subspace, make_set, niveau_set, random_set
 from popdiff.rng import SplitMix64
 from popdiff.subspace import max_subspace_in
 
@@ -113,6 +114,66 @@ def test_matches_reference_search():
             d = popular_difference_set(a, c)
             got = max_subspace_in(d)
             assert got.basis.vectors == reference_max_subspace(d), (seed, c)
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (n, alpha) if (n, alpha) not in {(10, Fraction(3, 4)), (11, Fraction(1, 2)), (11, Fraction(3, 4))}
+    # the reference takes from 7 s to over 2 minutes per set on these
+    else pytest.param(n, alpha, marks=pytest.mark.slow)
+    for n in (9, 10, 11)
+    for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+], ids=str)
+def test_random_sets_match_reference_search(n, alpha):
+    for seed in range(3):
+        a = random_set(n, int(alpha * (1 << n)), SplitMix64(200 + seed))
+        d = a.union(make_set(n, [0]))
+        assert max_subspace_in(d).basis.vectors == reference_max_subspace(d), seed
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
+def test_balls_and_niveau_sets_match_reference_search(n):
+    # a ball's largest subspace is span(e_1..e_r), which the weight cap
+    # stops at; {0} with the niveau set of threshold r asks for the
+    # largest linear code of minimum distance r
+    weights = [bin(x).count("1") for x in range(1 << n)]
+    for r in range(n + 1):
+        ball = make_set(n, [x for x in range(1 << n) if weights[x] <= r])
+        got = max_subspace_in(ball).basis.vectors
+        assert got == reference_max_subspace(ball) == tuple(1 << i for i in range(r)), r
+        code = niveau_set(n, r).union(make_set(n, [0]))
+        assert max_subspace_in(code).basis.vectors == reference_max_subspace(code), r
+
+
+def test_pivot_cap_is_sound_on_every_subset_of_f24(subspaces_n4):
+    # S runs over the subsets of F_2^4 without 0; the largest subspace whose
+    # nonzero points lie in S never exceeds cap(S) <= floor(log2(|S| + 1))
+    spans = np.array([sum(1 << p for p in span) for span in subspaces_n4])
+    dims = np.array([len(span).bit_length() - 1 for span in subspaces_n4])
+    masks = np.arange(0, 1 << 16, 2)
+    inside = (masks[:, None] | 1) & spans[None, :] == spans[None, :]
+    best = np.where(inside, dims[None, :], 0).max(axis=1)
+    points = np.arange(16, dtype=np.int64)
+    caps = np.array([subspace._pivot_cap(points[(mask >> points & 1) == 1]) for mask in masks])
+    count_caps = np.array([(bin(mask).count("1") + 1).bit_length() - 1 for mask in masks])
+    assert (best <= caps).all() and (caps <= count_caps).all()
+    assert (caps < count_caps).any()  # and it is stronger than the count cap
+
+
+def test_random_half_density_search_visits_few_nodes(monkeypatch):
+    # the pivot-count cap refutes dimension 6 on this set in a few thousand
+    # nodes; the count cap alone took 86,119
+    calls = 0
+    search = subspace._search
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(subspace, "_search", counted)
+    d = random_set(12, 2048, SplitMix64(3)).union(make_set(12, [0]))
+    assert max_subspace_in(d).dim == 5
+    assert calls <= 5000, calls
 
 
 def test_monotone_under_set_growth():
