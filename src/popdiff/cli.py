@@ -15,13 +15,12 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import construction, correlation, f2n, subspace
+from . import construction, correlation, f2n, subspace, walsh
 from .construction import (
     BoundaryAmbiguous,
     Budgets,
@@ -319,16 +318,13 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
     return row
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
     """The rows of ``_sweep_cell(*cell)``, in cell order, from forked
     worker processes; the first error a cell raises is raised here, after
-    the cells not yet started are cancelled and every worker has exited."""
+    the cells not yet started are cancelled and every worker has exited.
+    Cells go out in chunks of ceil(cells / (4 workers)), the rule of
+    ``multiprocessing.Pool.map``: fewer round trips, and the last chunks
+    still small enough to balance the workers."""
     # imported here, so that commands which fork nothing do not pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -337,7 +333,8 @@ def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
         max_workers=workers, mp_context=multiprocessing.get_context("fork")
     ) as pool:
         try:
-            return list(pool.map(_sweep_cell, *zip(*cells)))
+            chunk = -(-len(cells) // (4 * workers))
+            return list(pool.map(_sweep_cell, *zip(*cells), chunksize=chunk))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -379,7 +376,7 @@ def cmd_sweep(args) -> int:
          budgets, args.subspace_cap)
         for index, (n, alpha, c, seed_idx) in enumerate(grid)
     ]
-    workers = min(args.jobs, len(cells), _usable_cpus())
+    workers = min(args.jobs, len(cells), walsh.usable_cpus())
     if workers > 1:
         rows = _sweep_in_workers(cells, workers)
     else:

@@ -110,10 +110,10 @@ def _pivot_cap(cands: np.ndarray) -> int:
     count needed only grows along it.
     """
     top = int(cands[-1]).bit_length() if len(cands) else 0
-    counts = np.diff(cands.searchsorted(_POWERS[: top + 1]))
+    ends = cands.searchsorted(_POWERS[: top + 1]).tolist()
     cap = 0
-    for count in counts.tolist():
-        if count >> cap:
+    for lo, hi in zip(ends, ends[1:]):
+        if (hi - lo) >> cap:
             cap += 1
     return cap
 

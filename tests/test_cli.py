@@ -5,11 +5,13 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from popdiff import cli, construction, subspace
+from popdiff import cli, construction, subspace, walsh
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
 from popdiff.correlation import Autocorrelation, popular_difference_set
@@ -394,10 +396,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 class _StubPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and
-    runs the cells in this process, so that no process starts."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunk size and runs the cells in this process, so that no process
+    starts."""
 
     started = []
+    chunks = []
 
     def __init__(self, max_workers, mp_context):
         self.started.append(max_workers)
@@ -408,7 +412,8 @@ class _StubPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *columns):
+    def map(self, fn, *columns, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, *columns)
 
     def shutdown(self, cancel_futures=False):
@@ -417,13 +422,15 @@ class _StubPool:
 
 @pytest.mark.parametrize(
     "jobs, seeds, cpus, workers",
-    [("1000000", "5", 3, 3), ("1000000", "2", 8, 2), ("2", "5", 3, 2), ("4", "5", 1, None)],
-    ids=["cpus", "cells", "jobs", "serial_on_one_cpu"],
+    [("1000000", "5", 3, 3), ("1000000", "2", 8, 2), ("2", "5", 3, 2), ("4", "5", 1, None),
+     ("2", "12", 2, 2)],
+    ids=["cpus", "cells", "jobs", "serial_on_one_cpu", "chunks_of_two"],
 )
 def test_sweep_starts_at_most_one_worker_per_cell_and_cpu(
         tmp_path, monkeypatch, jobs, seeds, cpus, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
     monkeypatch.setattr(_StubPool, "started", [])
+    monkeypatch.setattr(_StubPool, "chunks", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     base = ["sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", seeds]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -431,6 +438,46 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_cpu(
     assert run(*base, "--jobs", jobs, "--out", str(parallel)) == 0
     assert serial.read_bytes() == parallel.read_bytes()
     assert _StubPool.started == ([] if workers is None else [workers])
+    # the chunk rule of multiprocessing.Pool.map: ceil(cells / (4 workers))
+    assert _StubPool.chunks == ([] if workers is None else [-(-int(seeds) // (4 * workers))])
+
+
+@pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_sweep_workers_transform_on_one_thread_after_a_threaded_parent(tmp_path, monkeypatch):
+    # the parent's kernel holds a pool of threads when the workers fork;
+    # a worker drops it and transforms on its own thread alone
+    monkeypatch.setattr(walsh, "_pool", None)
+    monkeypatch.setattr(walsh, "_threads", 2)
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 2)  # two workers on any machine
+    try:
+        n = 17
+        assert (walsh.xor_pair_counts(np.ones(1 << n, dtype=np.uint8)) == 1 << n).all()
+        assert walsh._pool is not None
+        log = tmp_path / "threads.log"
+        each, parent = walsh._each, os.getpid()
+
+        def spy(parts, work):
+            # a worker that kept the parent's pool would wait on it forever
+            if os.getpid() != parent and walsh._pool is not None:
+                raise AssertionError("a sweep worker kept the parent's thread pool")
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {walsh._threads} {threading.active_count()}\n")
+            each(parts, work)
+
+        monkeypatch.setattr(walsh, "_each", spy)
+        base = ["sweep", "--n", "8,17", "--alpha", "1/2", "--c", "1/4", "--subspace-cap", "8"]
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run(*base, "--out", str(serial)) == 0
+        assert run(*base, "--jobs", "2", "--out", str(parallel)) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert multiprocessing.active_children() == []
+        records = [line.split() for line in log.read_text().splitlines()]
+        in_workers = [r for r in records if int(r[0]) != parent]
+        assert in_workers and all(r[1:] == ["1", "1"] for r in in_workers)
+        assert any(r[1] == "2" for r in records if int(r[0]) == parent)
+    finally:
+        if walsh._pool is not None:
+            walsh._pool.shutdown()
 
 
 def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Autocorrelation (fast vs naive) and popular difference sets."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -171,8 +173,8 @@ def test_float64_fwht_batched_matches_radix2_reference(n):
 
 def test_small_float64_transforms_make_single_threaded_blas_products(monkeypatch):
     # OpenBLAS runs a product of at most 2^18 multiply-adds (M * N * K)
-    # on the calling thread alone, and arrays of at most 2^16 entries
-    # make no larger product
+    # on the calling thread alone; no transform, of any size or float
+    # dtype, makes a larger product, so BLAS never starts threads
     products = []
     matmul = np.matmul
 
@@ -181,12 +183,15 @@ def test_small_float64_transforms_make_single_threaded_blas_products(monkeypatch
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    shapes = [(1 << n,) for n in range(1, 17)] + [(5, 1 << 13), (4, 1 << 14), (3, 1 << 6)]
+    shapes = [(1 << n,) for n in range(1, 23)] + [(5, 1 << 13), (4, 1 << 14), (3, 1 << 6),
+                                                  (3, 1 << 17)]
     for shape in shapes:
         v = np.arange(np.prod(shape), dtype=np.int64).reshape(shape) % 3 - 1
-        products.clear()
-        assert np.array_equal(_fwht(v.astype(np.float64)), _fwht(v)), shape
-        assert products and max(products) <= 1 << 18, shape
+        exact = _fwht(v)
+        for dtype in (np.float32, np.float64):
+            products.clear()
+            assert np.array_equal(_fwht(v.astype(dtype)), exact), (shape, dtype)
+            assert products and max(products) <= 1 << 18, (shape, dtype)
 
 
 def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
@@ -202,15 +207,17 @@ def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
     transform = walsh.fwht_inplace
     monkeypatch.setattr(walsh, "fwht_inplace", lambda a: (dtypes.append(a.dtype), transform(a)))
     assert np.array_equal(walsh.xor_pair_counts(ind_a, ind_b), exact >> n)
-    assert dtypes == [np.float64] * 3
+    assert dtypes == [np.float32, np.float32, np.float64]
 
 
 def test_transform_dtype_route():
-    # float64 holds the inverse-transform bound 4^n exactly up to n = 26
-    assert walsh._work_dtype(1) is np.float64
-    assert walsh._work_dtype(26) is np.float64
-    assert walsh._work_dtype(27) is np.int64
-    assert walsh._work_dtype(30) is np.int64
+    # float32 holds the forward bound 2^n exactly up to n = 24, float64
+    # the inverse bound 4^n up to n = 26
+    for n, forward, inverse in [(1, np.float32, np.float64), (24, np.float32, np.float64),
+                                (25, np.float64, np.float64), (26, np.float64, np.float64),
+                                (27, np.int64, np.int64), (30, np.int64, np.int64)]:
+        assert walsh._forward_dtype(n) is forward
+        assert walsh._work_dtype(n) is inverse
 
 
 @pytest.mark.parametrize("n", [3, 8, 17])
@@ -225,6 +232,80 @@ def test_int64_route_of_xor_pair_counts_matches_float64(monkeypatch, n):
         assert fast.dtype == slow.dtype == np.int64
         assert np.array_equal(fast, slow)
     assert np.array_equal(by_int[0], limb_xor_pair_counts(ind_a))
+
+
+@pytest.mark.parametrize("n", [3, 8, 17])
+def test_float64_route_of_xor_pair_counts_matches_float32(monkeypatch, n):
+    gen = np.random.default_rng(650 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    assert walsh._forward_dtype(n) is np.float32
+    by_f32 = walsh.xor_pair_counts(ind_a), walsh.xor_pair_counts(ind_a, ind_b)
+    monkeypatch.setattr(walsh, "_F32_MAX_N", 0)
+    assert walsh._forward_dtype(n) is np.float64
+    by_f64 = walsh.xor_pair_counts(ind_a), walsh.xor_pair_counts(ind_a, ind_b)
+    for fast, slow in zip(by_f32, by_f64):
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+    assert np.array_equal(by_f32[0], limb_xor_pair_counts(ind_a))
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_float32_route_matches_int64_route_on_full_and_random_sets(monkeypatch, n):
+    # a full set has the largest forward value, F(0) = 2^n, and every
+    # count 2^n; the blocked kernel and its column pass start at n = 16
+    gen = np.random.default_rng(680 + n)
+    full = np.ones(1 << n, dtype=np.uint8)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    assert walsh._forward_dtype(n) is np.float32
+    by_f32 = [walsh.xor_pair_counts(full), walsh.xor_pair_counts(ind_a),
+              walsh.xor_pair_counts(ind_a, ind_b), walsh.xor_pair_counts(full, ind_b)]
+    assert (by_f32[0] == 1 << n).all()
+    monkeypatch.setattr(walsh, "_FLOAT_MAX_N", 0)
+    assert walsh._forward_dtype(n) is np.int64
+    by_int = [walsh.xor_pair_counts(full), walsh.xor_pair_counts(ind_a),
+              walsh.xor_pair_counts(ind_a, ind_b), walsh.xor_pair_counts(full, ind_b)]
+    for fast, slow in zip(by_f32, by_int):
+        assert np.array_equal(fast, slow)
+
+
+@pytest.mark.slow
+def test_float32_route_of_the_full_set_at_n24():
+    # F(0) = 2^24 is the largest value the float32 route must hold
+    n = 24
+    assert walsh._forward_dtype(n) is np.float32
+    counts = walsh.xor_pair_counts(np.ones(1 << n, dtype=np.uint8))
+    assert counts.dtype == np.int64 and (counts == 1 << n).all()
+
+
+def test_concurrent_callers_on_more_kernel_threads_than_cores(monkeypatch):
+    # callers share the kernel's pool, and every pass is split over more
+    # threads than there are cores; a run lost or done twice would break
+    # the counts
+    gen = np.random.default_rng(900)
+    sets = gen.integers(0, 2, size=(6, 1 << 17), dtype=np.uint8)
+    monkeypatch.setattr(walsh, "_threads", 1)
+    expected = [walsh.xor_pair_counts(s) for s in sets]
+    monkeypatch.setattr(walsh, "_threads", 2 * walsh.usable_cpus() + 1)
+    monkeypatch.setattr(walsh, "_pool", None)
+    results = {}
+
+    def call(i):
+        results[i] = [np.array_equal(walsh.xor_pair_counts(sets[i]), expected[i]) for _ in range(3)]
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(sets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if walsh._pool is not None:
+            walsh._pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == {i: [True] * 3 for i in range(len(sets))}
 
 
 @pytest.mark.parametrize("route", ["float64", "int64"])
@@ -248,7 +329,7 @@ def test_xor_pair_counts_of_a_batch_equals_its_rows(monkeypatch, route, n):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_scaled_counts_rejects_non_counts(dtype):
-    # the last entry sits in the second block of the post-pass
+    # the last entry sits in the last block of the post-pass
     n = 17
     good = np.arange(1 << n, dtype=np.int64) << n
     assert np.array_equal(walsh._scaled_counts(good.astype(dtype), n), np.arange(1 << n))
