@@ -40,7 +40,6 @@ from .correlation import (
 from .f2n import (
     MAX_DIM,
     DenseSet,
-    empty_set,
     f2set_dumps,
     f2set_loads,
     full_set,
@@ -85,7 +84,6 @@ __all__ = [
     "choose_sigma",
     "construct_popular_sumset",
     "dc_threshold_report",
-    "empty_set",
     "f2set_dumps",
     "f2set_loads",
     "filter_a2",

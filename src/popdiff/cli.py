@@ -4,7 +4,8 @@ constructions, certificate verification, parameter sweeps.
 Exit codes: 0 success, 1 usage or parse error, 2 retry budget exhausted,
 3 certificate verification failure.  Rationals are given as ``p`` or
 ``p/q``; floats are rejected so the strict threshold semantics survive
-the command line.
+the command line.  Every integer, and each of p and q, is written in
+ASCII decimal digits with no sign, space, ``_`` or leading zero.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .construction import (
 )
 from .rng import SplitMix64
 
-_RATIONAL = re.compile(r"^([0-9]+)(?:/([1-9][0-9]*))?$")
+# ASCII decimals with no sign, no spaces, no "_" and no leading zero
+_NATURAL = re.compile(r"0|[1-9][0-9]*")
+_RATIONAL = re.compile(rf"({_NATURAL.pattern})(?:/([1-9][0-9]*))?")
 
 
 class _UsageError(Exception):
@@ -43,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def rational(text: str) -> Fraction:
-    m = _RATIONAL.match(text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
         raise argparse.ArgumentTypeError(
             f"expected a rational like 3/4 (floats are rejected), got {text!r}"
@@ -51,9 +54,17 @@ def rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
 
 
+def natural(text: str) -> int:
+    if not _NATURAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative decimal integer like 12, got {text!r}"
+        )
+    return int(text)
+
+
 def seed64(text: str) -> int:
-    seed = int(text)
-    if not 0 <= seed < 1 << 64:
+    seed = natural(text)
+    if seed >= 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
     return seed
 
@@ -63,7 +74,7 @@ def _rational_list(text: str) -> list[Fraction]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    return [natural(part) for part in text.split(",")]
 
 
 # Parsing neither changes the parser nor keeps state in it (``error``
@@ -75,13 +86,13 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a set and write it as an F2SET file")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=natural, required=True)
     g.add_argument("--family", choices=["random", "subspace", "niveau"], required=True)
-    g.add_argument("--card", type=int, help="cardinality (random family)")
+    g.add_argument("--card", type=natural, help="cardinality (random family)")
     g.add_argument("--alpha", type=rational, help="density, alternative to --card")
     g.add_argument("--seed", type=seed64, default=0, help="seed (random family)")
-    g.add_argument("--dim", type=int, help="dimension (subspace family)")
-    g.add_argument("--wmin", type=int, help="weight threshold (niveau family)")
+    g.add_argument("--dim", type=natural, help="dimension (subspace family)")
+    g.add_argument("--wmin", type=natural, help="weight threshold (niveau family)")
     g.add_argument("--out", required=True)
 
     d = sub.add_parser("dcset", help="compute the popular difference set")
@@ -95,15 +106,15 @@ def _build_parser() -> _Parser:
     c.add_argument("--c", type=rational, required=True)
     c.add_argument("--seed", type=seed64, required=True)
     c.add_argument("--out", required=True, help="certificate path (JSON)")
-    c.add_argument("--lemma-trials", type=int, default=construction.DEFAULT_TRIALS)
-    c.add_argument("--refine-trials", type=int, default=construction.DEFAULT_TRIALS)
+    c.add_argument("--lemma-trials", type=natural, default=construction.DEFAULT_TRIALS)
+    c.add_argument("--refine-trials", type=natural, default=construction.DEFAULT_TRIALS)
     c.add_argument("--exploratory", action="store_true", help="allow 1/2 < c < 1")
 
     v = sub.add_parser("verify", help="independently re-verify a certificate")
     v.add_argument("certificate")
 
     b = sub.add_parser("bound", help="closed-form size bound")
-    b.add_argument("n", type=int)
+    b.add_argument("n", type=natural)
     b.add_argument("alpha", type=rational)
     b.add_argument("c", type=rational)
 
@@ -112,12 +123,12 @@ def _build_parser() -> _Parser:
     s.add_argument("--alpha", type=_rational_list, required=True)
     s.add_argument("--c", type=_rational_list, required=True)
     s.add_argument("--family", choices=["random", "subspace", "niveau"], default="random")
-    s.add_argument("--seeds", type=int, default=1, help="seeds per cell")
-    s.add_argument("--lemma-trials", type=int, default=construction.DEFAULT_TRIALS)
-    s.add_argument("--refine-trials", type=int, default=construction.DEFAULT_TRIALS)
-    s.add_argument("--subspace-cap", type=int, default=14,
+    s.add_argument("--seeds", type=natural, default=1, help="seeds per cell")
+    s.add_argument("--lemma-trials", type=natural, default=construction.DEFAULT_TRIALS)
+    s.add_argument("--refine-trials", type=natural, default=construction.DEFAULT_TRIALS)
+    s.add_argument("--subspace-cap", type=natural, default=14,
                    help="max n for the exact subspace-dimension column")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=natural, default=1)
     s.add_argument("--out", required=True)
 
     m = sub.add_parser("maxsub", help="largest linear subspace inside a set")

@@ -162,14 +162,11 @@ def _least(pred) -> int:
     return hi
 
 
-def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
-    """Least positive integer r with c^r <= sigma/2.
-
-    The power of c falls with r, so ``_least`` finds r by doubling and
-    bisection, each step decided by exact integer powers
-    (2 sd cn^r <= sn cd^r), never by floating-point logarithms.  Requires
-    0 < c < 1 (at c = 1 no power ever drops below sigma/2) and
-    0 < sigma <= 1.
+def _stage_rule(sigma: Fraction | int, c: Fraction | int):
+    """The predicate r -> c^r <= sigma/2, decided by exact integer powers
+    (2 sd cn^r <= sn cd^r), never by floating-point logarithms.  It is
+    false below some r and true from it on.  Requires 0 < c < 1 (at c = 1
+    no power ever drops below sigma/2) and 0 < sigma <= 1.
     """
     sigma = Fraction(sigma)
     c = Fraction(c)
@@ -179,7 +176,13 @@ def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     sn, sd = sigma.numerator, sigma.denominator
     cn, cd = c.numerator, c.denominator
-    return _least(lambda r: 2 * sd * cn**r <= sn * cd**r)
+    return lambda r: 2 * sd * cn**r <= sn * cd**r
+
+
+def lemma_r(sigma: Fraction | int, c: Fraction | int) -> int:
+    """Least positive integer r with c^r <= sigma/2, found by ``_least``
+    on ``_stage_rule``."""
+    return _least(_stage_rule(sigma, c))
 
 
 def _lemma_shift(n: int, r: int) -> int:
@@ -257,7 +260,9 @@ class ConstructionPlan:
         3 floor(sd / 4) < sd."""
         if self.sigma.numerator != 1:
             raise SoundnessError("plan sigma must be the reciprocal of an integer")
-        if self.r != lemma_r(self.sigma, self.c):
+        # r is the least r >= 1 the rule holds at: true at r, false before
+        rule = _stage_rule(self.sigma, self.c)
+        if not (self.r >= 1 and rule(self.r) and (self.r == 1 or not rule(self.r - 1))):
             raise SoundnessError("plan r does not match the stage parameter rule")
         if not restrict_holds(self.n, self.card_a, self.r, self.sigma.denominator):
             raise SoundnessError("plan violates the size restriction")

@@ -181,25 +181,22 @@ def _hyperplane_avoids_all(n: int, missing: np.ndarray) -> bool:
     avoids the whole complement, so this one Gaussian solve pins the
     maximum dimension of a near-full set to n-1 or at most n-2 without
     any search.
+
+    Each equation <u, m> = 1 is the int64 bit row m + 2^n, its right-hand
+    side in bit n.  For each column the first row holding it is XORed
+    into every row holding it, itself included: x_col then appears in no
+    other row, so it can always satisfy that row, which drops out as 0.
+    The system has no solution exactly when a row reads 0 = 1, i.e. 2^n,
+    and has one as soon as every row is 0.
     """
-    rows = ((missing[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(np.uint8)
-    aug = np.concatenate([rows, np.ones((len(missing), 1), dtype=np.uint8)], axis=1)
-    pivot_row = 0
+    rows = missing | np.int64(1 << n)
     for col in range(n):
-        hits = np.flatnonzero(aug[pivot_row:, col]) + pivot_row
-        if not hits.size:
-            continue
-        if hits[0] != pivot_row:
-            aug[[pivot_row, hits[0]]] = aug[[hits[0], pivot_row]]
-        others = np.flatnonzero(aug[:, col])
-        others = others[others != pivot_row]
-        if others.size:
-            aug[others] ^= aug[pivot_row]
-        pivot_row += 1
-        if pivot_row == len(aug):
-            break
-    # inconsistent iff some row reads 0 ... 0 | 1
-    return not bool((aug[:, :n].any(axis=1) == 0)[aug[:, n] == 1].any())
+        has = np.flatnonzero(rows & (1 << col))
+        if has.size:
+            rows[has] ^= rows[has[0]]
+            if not rows.any():
+                return True
+    return not (rows == 1 << n).any()
 
 
 def _max_weight(points: np.ndarray) -> int:

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from popdiff.f2n import DenseSet
+from popdiff.f2n import DenseSet, make_set
 
 
 def all_subspaces(n: int) -> list[tuple[int, ...]]:
@@ -106,6 +106,11 @@ def set_from_mask(n: int, mask: int) -> DenseSet:
         if (mask >> i) & 1:
             bits[i] = 1
     return DenseSet(n, bits)
+
+
+def outside(n: int, points) -> DenseSet:
+    """F_2^n without the given points."""
+    return make_set(n, np.setdiff1d(np.arange(1 << n), points))
 
 
 def pytest_collection_modifyitems(items):

@@ -550,6 +550,64 @@ def test_usage_error_exit_one():
     assert run("nonsense") == 1
 
 
+# each integer argument, with a command that runs when it holds a valid value
+_INTEGER_ARGS = {
+    "gen --n": ("gen", "--family", "random", "--card", "2", "--n", "{v}"),
+    "gen --card": ("gen", "--n", "4", "--family", "random", "--card", "{v}"),
+    "gen --seed": ("gen", "--n", "4", "--family", "random", "--card", "2", "--seed", "{v}"),
+    "gen --dim": ("gen", "--n", "4", "--family", "subspace", "--dim", "{v}"),
+    "gen --wmin": ("gen", "--n", "4", "--family", "niveau", "--wmin", "{v}"),
+    "construct --seed": ("construct", "{set}", "--c", "1/4", "--seed", "{v}"),
+    "construct --lemma-trials": ("construct", "{set}", "--c", "1/4", "--seed", "0",
+                                 "--lemma-trials", "{v}"),
+    "construct --refine-trials": ("construct", "{set}", "--c", "1/4", "--seed", "0",
+                                  "--refine-trials", "{v}"),
+    "bound n": ("bound", "{v}", "1/2", "1/4"),
+    "sweep --n": ("sweep", "--alpha", "1/2", "--c", "1/4", "--n", "4,{v}"),
+    "sweep --seeds": ("sweep", "--n", "4", "--alpha", "1/2", "--c", "1/4", "--seeds", "{v}"),
+    "sweep --lemma-trials": ("sweep", "--n", "4", "--alpha", "1/2", "--c", "1/4",
+                             "--lemma-trials", "{v}"),
+    "sweep --refine-trials": ("sweep", "--n", "4", "--alpha", "1/2", "--c", "1/4",
+                              "--refine-trials", "{v}"),
+    "sweep --subspace-cap": ("sweep", "--n", "4", "--alpha", "1/2", "--c", "1/4",
+                             "--subspace-cap", "{v}"),
+    "sweep --jobs": ("sweep", "--n", "4", "--alpha", "1/2", "--c", "1/4", "--jobs", "{v}"),
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "١٠", " +7 ", "+3", "07", "2\n", "-1", ""],
+                         ids=["underscore", "arabic_indic", "spaces_and_sign", "plus",
+                              "leading_zero", "final_newline", "negative", "empty"])
+@pytest.mark.parametrize("arg", _INTEGER_ARGS.values(), ids=_INTEGER_ARGS.keys())
+def test_integer_arguments_are_ascii_decimals_without_leading_zeros(tmp_path, capsys, arg, value):
+    out = tmp_path / "out"
+    assert run(*_integer_argv(arg, value, tmp_path, out)) == 1
+    assert "expected a non-negative decimal integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arg", _INTEGER_ARGS.values(), ids=_INTEGER_ARGS.keys())
+def test_integer_argument_probes_run_with_a_plain_decimal(tmp_path, arg):
+    assert run(*_integer_argv(arg, "2", tmp_path, tmp_path / "out")) == 0
+
+
+def _integer_argv(arg, value, tmp_path, out):
+    a_path = tmp_path / "A.set"
+    write_set(linear_subspace(4, [1, 2, 4]), a_path)
+    argv = [part.format(v=value, set=a_path) for part in arg]
+    return argv if argv[0] == "bound" else argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("value", ["1/16\n", "007/8", "01", "1/016", " 1/2", "1/2 ", "+1/2", "½"])
+def test_rationals_are_ascii_decimals_without_leading_zeros(tmp_path, capsys, value):
+    a_path = tmp_path / "A.set"
+    write_set(linear_subspace(4, [1, 2, 4]), a_path)
+    assert run("dcset", str(a_path), "--c", value) == 1
+    assert "expected a rational" in capsys.readouterr().err
+    for good in ("0", "0/3", "1/16", "7/8", "10/100"):
+        assert run("dcset", str(a_path), "--c", good) == 0
+
+
 def test_one_parser_serves_every_call_alike(small_cert, tmp_path, capsys):
     a_path = tmp_path / "A.set"
     assert run("gen", "--n", "10", "--family", "random", "--alpha", "1/2",

@@ -42,7 +42,6 @@ from popdiff.construction import (
 from popdiff.correlation import popular_difference_set
 from popdiff.f2n import (
     DenseSet,
-    empty_set,
     f2set_dumps,
     f2set_loads,
     full_set,
@@ -54,7 +53,7 @@ from popdiff.f2n import (
 )
 from popdiff.rng import SplitMix64
 
-from conftest import NON_CANONICAL_EDITS, canonical_json
+from conftest import NON_CANONICAL_EDITS, canonical_json, outside
 
 
 class FixedDraws:
@@ -152,6 +151,29 @@ def test_choose_sigma_plan_invariants_grid():
                     assert plan.guarantee >= 1
 
 
+def test_validate_accepts_exactly_the_stage_rules_r():
+    # the plan's r against every r near it; only lemma_r's r passes the
+    # stage rule check, and a plan whose r passes may still fail the size
+    # restriction
+    for n, card, c in ((12, 2048, Fraction(1, 8)), (16, 32768, Fraction(1, 16)),
+                       (8, 128, Fraction(1, 2)), (10, 1000, Fraction(2, 5)),
+                       (16, (1 << 16) - 1, Fraction(999, 1000))):
+        plan = choose_sigma(n, card, c)
+        for r in {-1, 0, 1, 2, plan.r - 1, plan.r, plan.r + 1}:
+            other = replace(plan, r=r)
+            if r == lemma_r(plan.sigma, c):
+                other.validate()
+            else:
+                with pytest.raises(SoundnessError, match="stage parameter rule"):
+                    other.validate()
+    plan = choose_sigma(12, 2048, Fraction(1, 8))
+    with pytest.raises(SoundnessError, match="reciprocal"):
+        replace(plan, sigma=Fraction(2, 255)).validate()
+    sigma = Fraction(1, 2048)
+    with pytest.raises(SoundnessError, match="size restriction"):
+        replace(plan, sigma=sigma, r=lemma_r(sigma, plan.c)).validate()
+
+
 def test_choose_sigma_guarantee_dominates_closed_form_on_dyadic_grid():
     for n in (8, 12, 16, 20):
         for c in (Fraction(1, 4), Fraction(1, 16)):
@@ -228,8 +250,8 @@ def test_choose_sigma_searches_in_logarithmic_steps(monkeypatch, card, r):
     monkeypatch.setattr(construction, "_least", counted)
     plan = choose_sigma(16, card, Fraction(999, 1000))
     assert plan.r == r
-    # the crossing, the plan's r and validate's re-check of it
-    assert len(searches) == 3
+    # the crossing and the plan's r; validate checks r at r and r - 1
+    assert len(searches) == 2
     for calls, found in searches:
         assert calls <= 2 * found.bit_length() + 2, (calls, found)
 
@@ -339,7 +361,7 @@ def test_lemma_accept_full_group_saturates():
 def test_lemma_accept_empty_never():
     a = random_set(6, 32, SplitMix64(1))
     d = popular_difference_set(a, Fraction(1, 4))
-    out = lemma_accept(empty_set(6), a, _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2), d)
+    out = lemma_accept(DenseSet(6), a, _stage_plan(a, Fraction(1, 4), Fraction(1, 8), 2), d)
     assert not out.accepted
     assert out.deficit > 0
 
@@ -512,7 +534,7 @@ def _route_test_sets(a, rng):
     n = a.n
     return (
         popular_difference_set(a, Fraction(1, 4)),
-        ~make_set(n, rng.sample(1 << n, 1 << (n - 3))),
+        outside(n, rng.sample(1 << n, 1 << (n - 3))),
         random_set(n, 1 << (n - 1), rng),
     )
 
@@ -584,8 +606,8 @@ def test_refine_pair_count_matches_brute_force_on_both_routes(monkeypatch, n):
     # one point or without a few points accepts them
     for d in (
         random_set(n, 1 << (n - 1), rng),
-        ~make_set(n, [3]),
-        ~make_set(n, rng.sample(1 << n, 1 << (n - 3))),
+        outside(n, [3]),
+        outside(n, rng.sample(1 << n, 1 << (n - 3))),
     ):
         k = d.size - d.card
         for m in _route_sizes(n, k, 2):
@@ -628,8 +650,8 @@ def test_filter_counts_match_brute_force_on_both_routes(monkeypatch, n):
             plan = _stage_plan(a1, Fraction(1, 4), Fraction(1, 4 * m))
             d = {
                 "full": lambda: full_set(n),
-                "one sum": lambda: ~make_set(n, [pts[1] ^ pts[-2]]),
-                "few": lambda: ~make_set(n, rng.sample(1 << n, k)),
+                "one sum": lambda: outside(n, [pts[1] ^ pts[-2]]),
+                "few": lambda: outside(n, rng.sample(1 << n, k)),
                 "half": lambda: random_set(n, 1 << (n - 1), rng),
             }[kind]()
             brute = [sum(1 for y in pts if (x ^ y) in d) for x in pts]
@@ -704,7 +726,7 @@ def test_verify_containment_rejects_a_single_missing_pair_sum():
         a2 = make_set(n, v.point_list() + [w])
         pts = a2.point_list()
         assert pts[-1] == w
-        sums = v | v.translate(w)
+        sums = make_set(n, np.concatenate((v.points(), v.points() ^ w)))
         assert verify_containment(a2, sums)
         # the rows take more than one block, so the first and the last
         # point lie in different blocks
@@ -715,11 +737,12 @@ def test_verify_containment_rejects_a_single_missing_pair_sum():
             (w ^ pts[0], "pair straddling the first and the last block"),
         ):
             assert missing in sums
-            spy_a2, d, blocks = _spy_containment(a2, sums & ~make_set(n, [missing]))
+            without = make_set(n, np.setdiff1d(sums.points(), [missing]))
+            spy_a2, d, blocks = _spy_containment(a2, without)
             assert not verify_containment(spy_a2, d), case
             assert {b[0] for b in blocks} == {side}, case
         # a single point needs 0 in D and nothing else
-        assert not verify_containment(make_set(n, [w]), ~make_set(n, [0]))
+        assert not verify_containment(make_set(n, [w]), outside(n, [0]))
         assert verify_containment(make_set(n, [w]), make_set(n, [0]))
 
 
@@ -732,7 +755,7 @@ def test_verify_containment_outside_side_blocks():
     a2 = make_set(n, [2 * x for x in rng.sample(1 << (n - 1), 1200)])
     sums = sumset(a2, a2)
     odd = [2 * x + 1 for x in range(500, 800)]
-    d = ~make_set(n, odd)
+    d = outside(n, odd)
     rows = construction._CONTAINMENT_BLOCK // a2.card
     assert rows < len(odd) and 2 * len(odd) <= a2.card
     spy_a2, spy_d, blocks = _spy_containment(a2, d)
@@ -744,7 +767,8 @@ def test_verify_containment_outside_side_blocks():
     low, high = min(sums.point_list()[1:]), max(sums.point_list())
     assert low < odd[0] and high > odd[-1]
     for missing, first in ((0, True), (low, True), (high, False)):
-        spy_a2, missed, blocks = _spy_containment(a2, d & ~make_set(n, [missing]))
+        without = make_set(n, np.setdiff1d(d.points(), [missing]))
+        spy_a2, missed, blocks = _spy_containment(a2, without)
         assert not verify_containment(spy_a2, missed)
         expected = 1 if first else -(-(len(odd) + 1) // rows)
         assert len(blocks) == expected, missing
@@ -771,7 +795,7 @@ def test_verify_containment_side_switch():
             side = "outside" if twice <= card else "pairs"
             for missing, expected in (([], True), ([sums[-1]], False)):
                 spy_a2, d, blocks = _spy_containment(
-                    a2, ~make_set(n, odd[len(missing):] + missing)
+                    a2, outside(n, odd[len(missing):] + missing)
                 )
                 assert 2 * (d.size - d.card) == twice
                 assert verify_containment(spy_a2, d) is expected
@@ -787,9 +811,10 @@ def test_verify_containment_matches_the_sumset_oracle():
         sums = sumset(a2, a2)
         d = {
             0: lambda: random_set(n, rng.below((1 << n) + 1), rng),
-            1: lambda: sums | random_set(n, rng.below((1 << n) + 1), rng),
-            2: lambda: ~make_set(n, rng.sample(1 << n, rng.below(min(4, 1 << n)))),
-            3: lambda: sums & ~make_set(n, rng.sample(1 << n, 1)),
+            1: lambda: make_set(n, np.union1d(
+                sums.points(), random_set(n, rng.below((1 << n) + 1), rng).points())),
+            2: lambda: outside(n, rng.sample(1 << n, rng.below(min(4, 1 << n)))),
+            3: lambda: make_set(n, np.setdiff1d(sums.points(), rng.sample(1 << n, 1))),
         }[rng.below(4)]()
         expected = sums.subset_of(d)
         assert verify_containment(a2, d) is expected
@@ -975,7 +1000,7 @@ def test_construct_with_non_dyadic_c():
 
 def test_construct_domain_checks():
     with pytest.raises(DegenerateInput):
-        construct_popular_sumset(empty_set(6), Fraction(1, 4), seed=0)
+        construct_popular_sumset(DenseSet(6), Fraction(1, 4), seed=0)
     a = random_set(6, 32, SplitMix64(0))
     with pytest.raises(ValueError):
         construct_popular_sumset(a, Fraction(0), seed=0)
@@ -1332,7 +1357,7 @@ def test_verify_compares_every_certificate_field_with_the_replay():
     )
     assert (cert.stats.lemma_trials, cert.stats.refine_trials) == (20, 1)
     edits = {
-        "input_set": (~v, "replay"),  # a coset: the same |A| and D_c(A)
+        "input_set": (outside(10, v.points()), "replay"),  # a coset: the same |A| and D_c(A)
         "seed": (cert.seed + 1, "replay"),
         "budgets": (Budgets(1, 1), "replay"),
         "plan": (replace(cert.plan, c=Fraction(1, 4)), "plan"),

@@ -8,7 +8,6 @@ import pytest
 
 from popdiff.f2n import (
     DenseSet,
-    empty_set,
     f2set_dumps,
     f2set_loads,
     full_set,
@@ -130,23 +129,10 @@ def test_f2set_dumps_packs_a_set_once(monkeypatch):
     assert f2set_loads(text) == a
 
 
-def test_set_algebra():
-    rng = SplitMix64(9)
-    a = random_set(6, 30, rng)
-    assert a.intersect(full_set(6)) == a
-    assert a.intersect(a.complement()).card == 0
-    assert a.union(a.complement()) == full_set(6)
-    for _ in range(20):
-        x = random_set(6, rng.below(65), rng)
-        y = random_set(6, rng.below(65), rng)
-        assert x.intersect(y).card + x.union(y).card == x.card + y.card
-
-
 def test_dimension_mismatch_errors():
-    a, b = empty_set(3), empty_set(4)
-    for op in (a.intersect, a.union, a.subset_of):
-        with pytest.raises(ValueError):
-            op(b)
+    a, b = DenseSet(3), DenseSet(4)
+    with pytest.raises(ValueError):
+        a.subset_of(b)
     with pytest.raises(ValueError):
         sumset(a, b)
 
@@ -154,7 +140,7 @@ def test_dimension_mismatch_errors():
 def test_sumset_identities():
     rng = SplitMix64(17)
     b = random_set(5, 11, rng)
-    assert sumset(empty_set(5), b).card == 0
+    assert sumset(DenseSet(5), b).card == 0
     assert sumset(make_set(5, [0]), b) == b
     v = linear_subspace(5, [1, 6, 24])
     assert sumset(v, v) == v  # subspaces are closed under addition
@@ -379,8 +365,6 @@ def test_operations_do_not_mutate_inputs():
     a = make_set(3, [1, 2])
     before = a.bits.copy()
     a.translate(5)
-    a.complement()
-    a.union(make_set(3, [7]))
     sumset(a, a)
     assert np.array_equal(a.bits, before)
 
@@ -395,4 +379,4 @@ def test_outside_points_lists_the_complement_once():
         assert a.outside_points() is outside  # kept, not listed again
     # the whole group has nothing outside, and the empty set everything
     assert full_set(6).outside_points().tolist() == []
-    assert empty_set(6).outside_points().tolist() == list(range(64))
+    assert DenseSet(6).outside_points().tolist() == list(range(64))

@@ -34,6 +34,11 @@ def echelon_reduce(vectors):
     return tuple(sorted(rows))
 
 
+def with_zero(s):
+    """The set s with 0 added."""
+    return make_set(s.n, np.append(s.points(), 0))
+
+
 def oracle_max_dim(n, mask, subspaces):
     if not mask & 1:
         return 0
@@ -105,7 +110,7 @@ def test_matches_reference_search():
             # and the hyperplane shortcut); up to density 3/4 at n = 8, 9,
             # where denser sets take the reference minutes
             most = 1 << n if n <= 7 else 3 << (n - 2)
-            d = random_set(n, 1 + rng.below(most), rng).union(make_set(n, [0]))
+            d = with_zero(random_set(n, 1 + rng.below(most), rng))
             got = max_subspace_in(d)
             assert got.basis.vectors == reference_max_subspace(d), (n, d.point_list())
     for seed in range(3):
@@ -126,7 +131,7 @@ def test_matches_reference_search():
 def test_random_sets_match_reference_search(n, alpha):
     for seed in range(3):
         a = random_set(n, int(alpha * (1 << n)), SplitMix64(200 + seed))
-        d = a.union(make_set(n, [0]))
+        d = with_zero(a)
         assert max_subspace_in(d).basis.vectors == reference_max_subspace(d), seed
 
 
@@ -140,7 +145,7 @@ def test_balls_and_niveau_sets_match_reference_search(n):
         ball = make_set(n, [x for x in range(1 << n) if weights[x] <= r])
         got = max_subspace_in(ball).basis.vectors
         assert got == reference_max_subspace(ball) == tuple(1 << i for i in range(r)), r
-        code = niveau_set(n, r).union(make_set(n, [0]))
+        code = with_zero(niveau_set(n, r))
         assert max_subspace_in(code).basis.vectors == reference_max_subspace(code), r
 
 
@@ -171,7 +176,7 @@ def test_random_half_density_search_visits_few_nodes(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(subspace, "_search", counted)
-    d = random_set(12, 2048, SplitMix64(3)).union(make_set(12, [0]))
+    d = with_zero(random_set(12, 2048, SplitMix64(3)))
     assert max_subspace_in(d).dim == 5
     assert calls <= 5000, calls
 
@@ -182,7 +187,7 @@ def test_monotone_under_set_growth():
     last = 0
     for _ in range(12):
         extra = [rng.below(128) for _ in range(10)]
-        d = d.union(make_set(7, extra))
+        d = make_set(7, [*d.points(), *extra])
         dim = max_subspace_in(d).dim
         assert dim >= last
         last = dim
@@ -208,6 +213,54 @@ def test_near_full_sets_shortcut():
     d = popular_difference_set(niveau_set(16, 9), Fraction(1, 4))
     assert d.card == (1 << 16) - 17
     assert max_subspace_in(d).dim == 14
+
+
+def _odd_parity(x):
+    """1 where the int64 x has an odd number of set bits, else 0."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def _some_u_odd_on_all(n, missing):
+    """Brute force: whether some u in F_2^n has <u, m> = 1 for every m."""
+    u = np.arange(1 << n, dtype=np.int64)
+    ok = np.ones(1 << n, dtype=bool)
+    for m in missing.tolist():
+        ok &= _odd_parity(u & m) == 1
+    return bool(ok.any())
+
+
+def test_hyperplane_solve_matches_brute_force():
+    for n in range(1, 5):
+        # every nonempty missing set, decided for all masks at once: the
+        # missing points with <u, m> = 1 form the mask odd[u]
+        points = np.arange(1 << n, dtype=np.int64)
+        odd = [int((_odd_parity(u & points) << points).sum()) for u in range(1 << n)]
+        masks = np.arange(1, 1 << (1 << n), dtype=np.int64)
+        expected = np.zeros(len(masks), dtype=bool)
+        for mask_u in odd:
+            expected |= (masks & ~mask_u) == 0
+        for mask, want in zip(masks.tolist(), expected.tolist()):
+            missing = points[(mask >> points & 1) == 1]
+            assert subspace._hyperplane_avoids_all(n, missing) is want, (n, mask)
+    # random complements at n = 10 and 16; half of them lie inside a
+    # linear hyperplane, so the elimination never fills the rank
+    rng = SplitMix64(47)
+    for n in (10, 16):
+        seen = set()
+        for trial in range(40):
+            missing = np.sort(np.array(rng.sample(1 << n, 1 + rng.below(48)), dtype=np.int64))
+            if trial % 2:
+                kernel_of = 1 + rng.below((1 << n) - 1)
+                missing = missing[_odd_parity(missing & kernel_of) == 0]
+                if not missing.size:
+                    continue
+            missing.flags.writeable = False  # as outside_points gives it
+            want = _some_u_odd_on_all(n, missing)
+            assert subspace._hyperplane_avoids_all(n, missing) is want, (n, missing.tolist())
+            seen.add((trial % 2, want))
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}, (n, seen)
 
 
 def test_near_full_search_takes_the_missing_points_from_the_set(monkeypatch):
