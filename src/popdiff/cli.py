@@ -340,6 +340,10 @@ def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # the cells' bounds need mpmath: imported once here, the workers inherit
+    # it instead of each importing it again
+    import mpmath  # noqa: F401
+
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork")
     ) as pool:

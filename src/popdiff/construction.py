@@ -56,7 +56,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from .correlation import autocorrelation, popular_difference_set
@@ -600,10 +599,14 @@ def _bound_args(n: int, alpha: Fraction | int, c: Fraction | int) -> tuple[Fract
     return alpha, c
 
 
+# mpmath takes tens of milliseconds to import, so the three bound functions,
+# its only users, import it when called: commands that take no bound skip it
 def _log_bound(n: int, alpha: Fraction, c: Fraction):
     """Natural log of the unfloored ``theorem_bound`` at the working
     precision, n (1 - log(1/alpha)/log(1/c)) log 2 - 3 log(1/alpha) - log 12,
     with log1p keeping log(1/alpha) exact near alpha = 1."""
+    import mpmath
+
     la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
               for q in (alpha, c))
     return n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)
@@ -613,6 +616,8 @@ def _bound_digits(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     """1 + floor(log10) of the unfloored ``theorem_bound``: its digit count
     off by at most one when the bound is at least 1, however large n is
     (53 + bit_length(n) bits), else at most 1."""
+    import mpmath
+
     alpha, c = _bound_args(n, alpha, c)
     with mpmath.workprec(53 + n.bit_length()):
         return int(mpmath.floor(_log_bound(n, alpha, c) / mpmath.log(10))) + 1
@@ -637,6 +642,8 @@ def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     instead of guessing.  The value is positive, so one within 2^-20 of 0
     floors to 0.
     """
+    import mpmath
+
     alpha, c = _bound_args(n, alpha, c)
 
     def _dyadic_exp(q: Fraction) -> int | None:

@@ -229,13 +229,17 @@ def random_set(n: int, cardinality: int, rng: SplitMix64) -> DenseSet:
     """Uniformly random subset of exactly the given cardinality.
 
     Sampling is without replacement so the density is exactly
-    cardinality / 2^n; the result is a pure function of the rng state.
+    cardinality / 2^n; the result is a pure function of the rng state:
+    the points of ``rng.sample(2^n, cardinality)``, drawn as membership
+    bytes (``SplitMix64.sample_bits``).
     """
     n = _check_dim(n)
     size = 1 << n
     if not 0 <= cardinality <= size:
         raise ValueError(f"cardinality {cardinality} out of range for n={n}")
-    return make_set(n, rng.sample(size, cardinality))
+    out = DenseSet._wrap(n, rng.sample_bits(size, cardinality))
+    out._card = cardinality
+    return out
 
 
 def sumset(a: DenseSet, b: DenseSet) -> DenseSet:
@@ -330,11 +334,15 @@ def niveau_set(n: int, weight_threshold: int) -> DenseSet:
     n = _check_dim(n)
     if not 0 <= weight_threshold <= n:
         raise ValueError(f"weight threshold {weight_threshold} out of range for n={n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    weights = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        weights += ((idx >> j) & 1).astype(np.int8)
-    return DenseSet._wrap(n, (weights >= weight_threshold).astype(np.uint8))
+    low = min(n, 16)
+    weights = np.zeros(1, dtype=np.int8)
+    for _ in range(low):
+        weights = np.concatenate((weights, weights + 1))  # of [0, 2^low)
+    # point h * 2^low + l weighs weight(h) + weight(l), with h < 2^(n - low)
+    # <= 2^low; the sums, at most 30, are compared in place, 1 byte a point
+    bits = np.add.outer(weights[: 1 << (n - low)], weights).reshape(-1)
+    np.greater_equal(bits, weight_threshold, out=bits.view(np.bool_))
+    return DenseSet._wrap(n, bits.view(np.uint8))
 
 
 # ---------------------------------------------------------------------------

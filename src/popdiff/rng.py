@@ -12,16 +12,20 @@ Draw procedures:
   the 64-bit range (never biased, never rejects when m is a power of 2).
 * ``sample(u, k)``: uniform k-element subset of range(u), u <= 2^31, via
   a sparse partial Fisher-Yates pass; returned sorted.  Every caller
-  samples inside F_2^n with n <= 30.
+  samples inside F_2^n with n <= 30.  ``sample_bits(u, k)`` is the same
+  draw as u membership bytes, which ``f2n.random_set`` wraps.
 
 ``sample`` draws its words as numpy uint64 vectors rather than one
 ``below`` call at a time, but it consumes the same stream: word t after
 state s is mix(s + t * gamma) mod 2^64, and the vector rejection rule is
 the scalar one, so the picks and the state afterwards are exactly those
-of k scalar ``below`` calls.  Nor does it run the Fisher-Yates pass
-step by step: ``_resolve_swaps`` reads which value every step outputs
-from one in-place sort of packed (target, step) keys, in O(k log k) time
-and a few k-word arrays of memory.
+of k scalar ``below`` calls.  The exact rule, with its modulo, runs only
+on the rare words that some bound in the block could reject.  Nor does
+it run the Fisher-Yates pass step by step: ``_resolve_swaps`` reads
+which value every step outputs from one in-place sort of packed (target,
+step) keys, in O(k log k) time and about two k-word arrays of memory.
+It leaves the picks unsorted: ``sample`` sorts them, ``sample_bits``
+marks them.
 """
 
 from __future__ import annotations
@@ -79,13 +83,17 @@ class SplitMix64:
     def _below_many(self, bounds: np.ndarray) -> np.ndarray:
         """``below(b)`` for each positive uint64 b in ``bounds``, in order,
         as one vector draw."""
-        # below() accepts u iff u < 2^64 - (2^64 mod b), i.e. u <= ~(2^64 mod b)
-        accept_max = ~(-bounds % bounds)
+        # below() accepts u iff u <= ~(2^64 mod b); as 2^64 mod b < b, it
+        # accepts every u below 2^64 - max(bounds), so only the words from
+        # there up need the exact test and its modulo
+        sure = np.uint64((1 << 64) - int(bounds.max()))
         words = np.empty_like(bounds)
         done, window = 0, len(bounds)
         while done < len(bounds):
             u = _words(self._state, min(window, len(bounds) - done))
-            rejected = np.flatnonzero(u > accept_max[done : done + len(u)])
+            high = np.flatnonzero(u >= sure)
+            b = bounds[done + high]
+            rejected = high[u[high] > ~(-b % b)]
             take = int(rejected[0]) if rejected.size else len(u)
             words[done : done + take] = u[:take]
             # a rejected word is consumed; the draws after it are redrawn in
@@ -99,6 +107,21 @@ class SplitMix64:
         words %= bounds
         return words
 
+    def _picks(self, universe: int, k: int) -> np.ndarray:
+        """The k values the partial Fisher-Yates pass outputs, distinct,
+        as uint64 in ``_resolve_swaps``'s order."""
+        if not 0 <= k <= universe <= _MAX_UNIVERSE:
+            raise ValueError(
+                f"cannot sample {k} items from {universe} (need 0 <= k <= universe <= 2^31)"
+            )
+        # all arithmetic stays uint64 (mixing in int64 would give float64)
+        targets = np.empty(k, dtype=np.uint64)
+        for start in range(0, k, _DRAW_BLOCK):
+            block = targets[start : start + _DRAW_BLOCK]
+            block[:] = np.arange(start, start + len(block), dtype=np.uint64)
+            block += self._below_many(np.uint64(universe) - block)
+        return _resolve_swaps(targets)
+
     def sample(self, universe: int, k: int) -> np.ndarray:
         """Uniform k-subset of range(universe), sorted ascending, as int64;
         requires 0 <= k <= universe <= 2^31.
@@ -108,22 +131,24 @@ class SplitMix64:
         j_i and moves the value of slot i there (``_resolve_swaps``).
         Cost is O(k log k) regardless of universe size.
         """
-        if not 0 <= k <= universe <= _MAX_UNIVERSE:
-            raise ValueError(
-                f"cannot sample {k} items from {universe} (need 0 <= k <= universe <= 2^31)"
-            )
-        # all arithmetic stays uint64 (mixing in int64 would give float64)
-        targets = np.empty(k, dtype=np.uint64)
-        for start in range(0, k, _DRAW_BLOCK):
-            steps = np.arange(start, min(start + _DRAW_BLOCK, k), dtype=np.uint64)
-            bounds = np.uint64(universe) - steps
-            targets[start : start + len(steps)] = steps + self._below_many(bounds)
-        return _resolve_swaps(targets).view(np.int64)
+        picks = self._picks(universe, k)
+        picks.sort()
+        return picks.view(np.int64)
+
+    def sample_bits(self, universe: int, k: int) -> np.ndarray:
+        """The draw of ``sample(universe, k)`` as a uint8 vector of length
+        universe: 1 at the k picks, 0 elsewhere.  Same requirements, same
+        stream consumed; the picks are marked as the resolver leaves them,
+        with no sort."""
+        picks = self._picks(universe, k)
+        bits = np.zeros(universe, dtype=np.uint8)
+        bits[picks.view(np.int64)] = 1
+        return bits
 
 
 def _resolve_swaps(j: np.ndarray) -> np.ndarray:
-    """The set the Fisher-Yates pass with targets ``j`` picks, sorted
-    ascending; the array ``j`` becomes the result.
+    """The values the Fisher-Yates pass with targets ``j`` outputs, written
+    over ``j``: distinct, in no particular order.
 
     Step i outputs the value in slot j_i: j_i itself if no earlier step
     targeted j_i, else V of the last earlier step that did, where V(s) is
@@ -138,15 +163,17 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     target; every later one outputs V of the step before it in the run.
     The last step t of each run whose target s is below k links V(s) to
     V(t); V follows these links to a step no earlier step targeted, by
-    pointer doubling over the linked slots only.  The outputs overwrite
-    the keys, last block first, so each block still sees the key before
-    it, and a second in-place sort orders them.
-    Beside ``j`` the peak holds one k-entry int64 array for V and a few
-    shorter ones: about 3.1 k-words in all, ``j`` included, at
-    universe = 2k, and 4.3 at universe = k.
+    pointer doubling over the linked slots only.  Only the set of outputs
+    is kept, so each run's outputs may go to its keys in any order: the
+    key of each step with a repeat after it takes the V that repeat
+    outputs, and the run's last key is shifted down to its target.
+    Beside ``j`` the peak holds a k-entry int32 array for V, k repeat
+    flags and a few shorter arrays: about 2.1 k-words in all, ``j``
+    included, at universe = 2k.
 
     Targets must be below 2^31 (``sample``'s bound on the universe), so a
-    target and a step index, at most 32 bits, fit in one uint64 key.
+    target and a step index, at most 32 bits, fit in one uint64 key, and a
+    step index fits in int32.
     """
     k = len(j)
     if not k:
@@ -158,19 +185,22 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
         block <<= low
         block |= np.arange(start, start + len(block), dtype=np.uint64)
     j.sort()
+    # repeat[i]: key i + 1 has the target of key i (the last flag stays off)
+    repeat = np.zeros(k, dtype=bool)
+    for start in range(0, k - 1, _DRAW_BLOCK):
+        end = min(start + _DRAW_BLOCK, k - 1)
+        np.less_equal(j[start + 1 : end + 1] ^ j[start:end], step_mask, out=repeat[start:end])
     # the keys with a target below k are a prefix; the last step of each
     # of its runs gives V(target) = V(step)
-    head = j[: np.count_nonzero(j < np.uint64(k << shift))]
-    ends = np.ones(len(head), dtype=bool)
-    np.greater(head[1:] ^ head[:-1], step_mask, out=ends[:-1])
-    head = head[ends]
+    head = np.searchsorted(j, np.uint64(k << shift))
+    ends = j[np.flatnonzero(~repeat[:head])]
+    slots = (ends >> low).astype(np.int32)
+    ends &= step_mask
+    links = ends.astype(np.int32)
     del ends
-    slots = (head >> low).view(np.int64)
-    links = (head & step_mask).view(np.int64)
-    del head
     # a run that ends in its own slot's step links that slot to itself,
     # which leaves V of it wrong but unread: no later step targets it
-    values = np.arange(k)  # V
+    values = np.arange(k, dtype=np.int32)  # V
     values[slots] = links
     while True:
         jumped = values[links]
@@ -180,14 +210,12 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
         slots, links = slots[moving], jumped[moving]
         values[slots] = links
     del slots, links, jumped, moving
-    first = j[0] >> low
-    for end in range(k, 1, -_DRAW_BLOCK):
-        start = max(1, end - _DRAW_BLOCK)
-        keys, before = j[start:end], j[start - 1 : end - 1]
-        repeats = (keys ^ before) <= step_mask
-        moved = values[(before[repeats] & step_mask).view(np.int64)]
-        keys >>= low
-        keys[repeats] = moved
-    j[0] = first
-    j.sort()
+    before = np.flatnonzero(repeat)  # the keys with a repeat after them
+    del repeat
+    moved = j[before]
+    moved &= step_mask
+    moved = values[moved.view(np.int64)]
+    del values
+    j >>= low
+    j[before] = moved
     return j

@@ -4,13 +4,17 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popdiff
 from popdiff import cli, construction, subspace, walsh
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
@@ -478,6 +482,53 @@ def test_sweep_workers_transform_on_one_thread_after_a_threaded_parent(tmp_path,
     finally:
         if walsh._pool is not None:
             walsh._pool.shutdown()
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this popdiff."""
+    env = dict(os.environ)
+    src = str(Path(popdiff.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_commands_without_a_bound_do_not_import_mpmath(tmp_path):
+    result = _run_python("""
+        import sys
+        import popdiff.cli
+        assert "mpmath" not in sys.modules, "import popdiff.cli loaded mpmath"
+        out = sys.argv[1]
+        assert popdiff.cli.main(["gen", "--n", "8", "--family", "random", "--card", "9",
+                                 "--seed", "1", "--out", out]) == 0
+        assert popdiff.cli.main(["dcset", out, "--c", "1/4"]) == 0
+        assert "mpmath" not in sys.modules, "gen or dcset loaded mpmath"
+        assert popdiff.cli.main(["bound", "12", "1/3", "1/4"]) == 0
+        assert "mpmath" in sys.modules
+    """, str(tmp_path / "A.set"))
+    assert result.returncode == 0, result.stderr
+
+
+def test_sweep_workers_inherit_mpmath_from_the_parent(tmp_path):
+    # imported before the fork, not once per worker on its first bound
+    result = _run_python("""
+        import os, sys
+        from popdiff import cli, walsh
+        walsh.usable_cpus = lambda: 2  # two workers on any machine
+        parent, cell = os.getpid(), cli._sweep_cell
+
+        def checked_cell(*args):
+            assert os.getpid() != parent, "a cell ran in the parent"
+            assert "mpmath" in sys.modules, "a worker started without mpmath"
+            return cell(*args)
+
+        cli._sweep_cell = checked_cell
+        assert "mpmath" not in sys.modules
+        sys.exit(cli.main(["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/4",
+                           "--seeds", "2", "--jobs", "2", "--out", sys.argv[1]]))
+    """, str(tmp_path / "s.csv"))
+    assert result.returncode == 0, result.stderr
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4
 
 
 def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypatch, capsys):

@@ -60,6 +60,30 @@ def test_random_set_contract():
     assert random_set(6, 20, SplitMix64(5)) != random_set(6, 20, SplitMix64(6))
 
 
+def test_random_set_is_the_sampled_points():
+    # random_set marks the picks of sample() without sorting them
+    shapes = SplitMix64(12)
+    for _ in range(60):
+        n = 1 + shapes.below(14)
+        card = [0, 1 << n, shapes.below((1 << n) + 1)][shapes.below(3)]
+        seed = shapes.next_u64()
+        a = random_set(n, card, SplitMix64(seed))
+        assert a == make_set(n, SplitMix64(seed).sample(1 << n, card)), (n, card, seed)
+        assert a.card == card == int(np.count_nonzero(a.bits))
+        assert a.bits.dtype == np.uint8 and a.bits.max(initial=0) <= 1
+
+
+def test_random_set_peak_memory_per_point():
+    n = 20
+    tracemalloc.start()
+    try:
+        random_set(n, 1 << (n - 1), SplitMix64(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << n
+
+
 def test_translate_examples():
     a = make_set(2, [0, 1])
     assert a.translate(0) == a
@@ -230,6 +254,28 @@ def test_niveau_set_examples():
     assert niveau_set(3, 2).point_list() == expected == [3, 5, 6, 7]
     with pytest.raises(ValueError):
         niveau_set(3, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15, 16, 17, 18])
+def test_niveau_set_matches_hamming_weights(n):
+    # from n = 17 on the weights are a sum of a high and a low 16-bit part
+    idx = np.arange(1 << n)
+    weights = sum((idx >> j) & 1 for j in range(n))
+    for threshold in {0, 1, n // 2, n // 2 + 1, n - 1, n}:
+        got = niveau_set(n, threshold)
+        assert got.bits.dtype == np.uint8
+        assert np.array_equal(got.bits, (weights >= threshold).astype(np.uint8)), threshold
+
+
+def test_niveau_set_peak_memory_per_point():
+    n = 20
+    tracemalloc.start()
+    try:
+        niveau_set(n, n // 2 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << n
 
 
 def test_f2set_exact_bytes():

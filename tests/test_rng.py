@@ -52,6 +52,9 @@ def test_sample_dtype_and_validation():
     with pytest.raises(ValueError):
         SplitMix64(0).sample(2**70, 0)
     assert SplitMix64(0).sample(2**31, 0).size == 0
+    for universe, k in ((5, 6), (5, -1), (2**31 + 1, 1)):
+        with pytest.raises(ValueError):
+            SplitMix64(0).sample_bits(universe, k)
 
 
 def test_sample_random_shapes_against_scalar_loop():
@@ -104,6 +107,15 @@ def _swap_loop(targets: list[int]) -> list[int]:
     return sorted(out)
 
 
+def _check_resolved(targets: list[int]) -> None:
+    """The resolver's picks are the loop's outputs, each once: ``sample``
+    returns them sorted and ``sample_bits`` marks them, so both outputs
+    follow, and the marks number exactly len(targets)."""
+    got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert sorted(got.tolist()) == _swap_loop(targets), targets
+
+
 def test_resolve_swaps_repeated_large_targets():
     # targets near the 2^31 bound, repeated, mixed with targets below k:
     # random draws from a 2^31 universe almost never repeat one
@@ -122,8 +134,7 @@ def test_resolve_swaps_repeated_large_targets():
                 targets.append(max(i, targets[draws.below(len(targets))]))
             else:
                 targets.append(i)
-        got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
-        assert got.tolist() == _swap_loop(targets), targets
+        _check_resolved(targets)
 
 
 def test_resolve_swaps_crafted_cases():
@@ -132,8 +143,35 @@ def test_resolve_swaps_crafted_cases():
         [3, 3, 3, 3], [2**30, 2**30, 2, 2**30 + 1, 2**30], [1, 2, 2, 2**31 - 1, 2**31 - 1],
     ]
     for targets in cases:
-        got = rng_module._resolve_swaps(np.array(targets, dtype=np.uint64))
-        assert got.tolist() == _swap_loop(targets), targets
+        _check_resolved(targets)
+
+
+@pytest.mark.parametrize(
+    "universe, k",
+    [(1, 0), (1, 1), (2, 2), (10, 0), (10, 10), (7, 3), (4097, 2048), (3**9, 500),
+     (2**16, 2**16), (2**16 + 1, 2**16), (2**17, 2**16), (2**20, 3)],
+)
+def test_sample_bits_marks_the_scalar_loops_picks(universe, k):
+    for seed in (0, 1, 2**64 - 1):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        got = fast.sample_bits(universe, k)
+        want = np.zeros(universe, dtype=np.uint8)
+        want[reference_sample(slow, universe, k)] = 1
+        assert got.dtype == np.uint8 and np.array_equal(got, want), seed
+        assert fast.next_u64() == slow.next_u64(), seed
+
+
+def test_sample_bits_random_shapes_against_scalar_loop():
+    shapes = SplitMix64(22)
+    for _ in range(200):
+        universe = 1 + shapes.below(1 << (1 + shapes.below(14)))
+        k = [0, universe, shapes.below(universe + 1)][shapes.below(3)]
+        seed = shapes.next_u64()
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        want = np.zeros(universe, dtype=np.uint8)
+        want[reference_sample(slow, universe, k)] = 1
+        assert np.array_equal(fast.sample_bits(universe, k), want), (universe, k, seed)
+        assert fast.next_u64() == slow.next_u64()
 
 
 @pytest.mark.parametrize(
