@@ -21,55 +21,54 @@ The routes, by dimension:
 * n <= 26: float64 throughout.  4^n <= 2^52 is below 2^53, so float64
   carries only integers it represents exactly, in whatever order and
   grouping BLAS sums.
-* 27 <= n <= 30: int64 throughout; 4^n <= 2^60 is inside its range.
+* 27 <= n <= 30: the forward transforms run in float64, exact since
+  2^n <= 2^30; the spectra are converted to int64 and multiplied there,
+  and the inverse runs in int64, where 4^n <= 2^60 is inside the range.
 
 Either way the counts come out as exact int64 integers: the final
 division by 2^n is exact and is asserted, together with the sign of
 every count, so no threshold downstream is ever decided in floating
 point.
 
-No 2^n array beyond the inverse's own float64 buffer holds the spectrum
-of A: on the float32 route it is written into the upper half of that
-buffer's bytes, and the product is widened into the buffer in ascending
-blocks of B entries.  The write of float64 block i ends at byte 8(i+B),
-and the float32 data not yet read starts at byte 4*2^n + 4(i+B) >=
-8(i+B), so no write reaches data that is still to be read; a block's
-own input, where it overlaps the block's output, is read first.
+No 2^n array beyond the inverse's own buffer holds the spectrum of A:
+it is written into that buffer's bytes, on the float32 route into their
+upper half, and the product is formed in the buffer in ascending blocks
+of B entries.  The write of 8-byte block i ends at byte 8(i+B), and the
+float32 data not yet read starts at byte 4*2^n + 4(i+B) >= 8(i+B), so
+no write reaches data that is still to be read; a block's own input,
+where it overlaps the block's output, is read first.
 
-Two kernels implement ``fwht_inplace``:
+``fwht_inplace`` has one driver, the Kronecker factorization H_n = H_p1
+(x) ... (x) H_pk of the Sylvester-Hadamard matrix, and two ways to apply
+a factor:
 
-* float32 and float64 arrays are multiplied through the Kronecker
-  factorization H_n = H_p1 (x) ... (x) H_pk of the Sylvester-Hadamard
-  matrix, with factors of at most 2^6 rows.  Each factor is applied by
-  BLAS matrix products over an (L, 2^p, R) view of the array; the
-  partial sums of those at factor j are signed sums of distinct input
-  entries (the other factors act on the other axes), so the bound above
-  covers them.  Every product has at most 2^18 multiply-adds, the size
-  up to which OpenBLAS runs a product on the calling thread alone, so
-  BLAS never wakes threads of its own.  Cutting a product into products
-  over disjoint rows or columns leaves every output entry the same dot
-  product of a row of H_p with a column of the view, so the partial
-  sums are the same signed subset sums and the bound still covers them.
-  The factors act on disjoint index bits, so they commute, and they are
-  grouped to cross memory at most twice.  An array of at most 2B =
-  2^16 entries is transformed whole.  A longer one is cut into blocks of
-  B = 2^15 entries, each transformed in cache: the low pass applies the factors
-  of the low min(n, 15) index bits to each contiguous block, and for
-  n > 15 the high pass applies those of the other n - 15 bits to column
-  blocks, the 2^(n-15) x (B >> (n-15)) submatrices of a row viewed as
-  2^(n-15) x B, each gathered into one half of a scratch buffer,
-  transformed against the other half and written back.
-* Every other dtype (int64 for n >= 27, and int64 input from any caller)
-  takes radix-4 passes: one pass applies the radix-2 stages at strides
-  h and 2h to four lanes at once, with the intermediates the radix-2
-  stage at h leaves, so they are signed sums of input entries too.  When
-  n is odd one radix-2 stage is left at the end.
+* float arrays take factors of at most 2^6 rows, each applied by BLAS
+  matrix products over an (L, 2^p, R) view of the array.  Every product
+  has at most 2^18 multiply-adds, the size up to which OpenBLAS runs a
+  product on the calling thread alone, so BLAS never wakes threads of
+  its own.  Cutting a product into products over disjoint rows or
+  columns leaves every output entry the same dot product of a row of
+  H_p with a column of the view.
+* integer arrays (the int64 inverse for n >= 27, and integer input from
+  any caller) take factors of one bit, each a radix-2 butterfly on an
+  (L, 2, R) view: the sum and the difference of its two halves, written
+  out of place.
 
-Both kernels walk the array block by block through scratch buffers of
-at most 512 KiB, so scratch memory does not grow with 2^n.
+Either way the partial sums at factor j are signed sums of distinct
+input entries (the other factors act on the other axes), so the bound
+above covers them.  The factors act on disjoint index bits, so they
+commute, and they are grouped to cross memory at most twice.  An array
+of at most 2B = 2^16 entries is transformed whole.  A longer one is cut
+into blocks of B = 2^15 entries, each transformed in cache: the low pass
+applies the factors of the low min(n, 15) index bits to each contiguous
+block, and for n > 15 the high pass applies those of the other n - 15
+bits to column blocks, the 2^(n-15) x (B >> (n-15)) submatrices of a
+row viewed as 2^(n-15) x B, each gathered into one half of a scratch
+buffer, transformed against the other half and written back.  Scratch
+buffers are at most 512 KiB, so scratch memory does not grow with 2^n.
 
-Threads.  The blocks of a pass of the matrix-product kernel and of the
-final division by 2^n are independent.  Over more than one block they
+Threads.  The blocks of a pass of the transform and of the final
+division by 2^n are independent.  Over more than one block they
 are split into min(usable CPUs, blocks) runs of consecutive blocks, one
 run per thread, the calling thread among them, each thread with a
 scratch buffer of its own, and a pass ends when every run has.
@@ -91,8 +90,7 @@ from math import gcd
 
 import numpy as np
 
-_CHUNK = 1 << 15  # elements per lane in one step of a radix-4 pass
-_SPAN = 15  # index bits one block of the matrix-product kernel spans
+_SPAN = 15  # index bits one block of the transform spans
 _BLOCK = 1 << _SPAN  # entries of one block of any pass
 _FACTOR_BITS = 6  # the Hadamard factors have at most 2^6 rows
 _F32_MAX_N = 24  # 2^n <= 2^24: float32 forward transforms of indicators are exact
@@ -125,28 +123,19 @@ def fwht_inplace(a: np.ndarray) -> None:
     ``a`` must be C-contiguous, and the length of its last axis a power
     of two; leading axes are a batch.  The transform is an involution up
     to the factor 2^n, which is what makes the exact integer inverse
-    below possible.  float32 and float64 arrays go through BLAS matrix
-    products, exact while the row's entries are integers whose absolute
-    values sum to at most 2^24 and below 2^53 respectively; other dtypes
-    go through integer radix-4 passes (module docstring).
+    below possible.  Every dtype goes through the same blocked, threaded
+    driver: float arrays by BLAS matrix products, exact while the row's
+    entries are integers whose absolute values sum to at most 2^24 in
+    float32 and below 2^53 in float64; integer arrays by radix-2
+    butterflies, exact while no sum leaves the dtype's range (module
+    docstring).
     """
     size = a.shape[-1]
     if size & (size - 1):
         raise ValueError(f"transform length {size} is not a power of two")
     if not a.flags.c_contiguous:
         raise ValueError("the transform runs in place on a C-contiguous array")
-    flat = a.reshape(-1)
-    if a.dtype in (np.float32, np.float64):
-        _kronecker(flat, size.bit_length() - 1)
-        return
-    # two lanes of a radix-4 step, or one of a radix-2 step
-    scratch = np.empty(min(2 * _CHUNK, flat.size // 2), dtype=a.dtype)
-    h = 1
-    while 4 * h <= size:
-        _pass(flat.reshape(-1, 4, h), scratch, _radix4)
-        h *= 4
-    if h < size:
-        _pass(flat.reshape(-1, 2, h), scratch, _radix2)
+    _kronecker(a.reshape(-1), size.bit_length() - 1)
 
 
 def _work_dtype(n: int) -> type:
@@ -157,8 +146,7 @@ def _work_dtype(n: int) -> type:
 
 def _forward_dtype(n: int) -> type:
     """The dtype of the forward transforms of ``xor_pair_counts``."""
-    inverse = _work_dtype(n)
-    return np.float32 if n <= _F32_MAX_N and inverse is np.float64 else inverse
+    return np.float32 if n <= _F32_MAX_N else np.float64
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +160,8 @@ def _hadamard(p: int, dtype: type) -> np.ndarray:
 
 
 def _kronecker(flat: np.ndarray, n: int) -> None:
-    """Transform every 2^n-entry row of the float vector ``flat`` by
-    Kronecker factors, in one pass over memory for the low min(n, _SPAN)
+    """Transform every 2^n-entry row of the vector ``flat`` by Kronecker
+    factors, in one pass over memory for the low min(n, _SPAN)
     bits of the index and one for the rest (module docstring)."""
     dtype = flat.dtype.type
     if flat.size <= 2 * _BLOCK:  # as much as one high-pass scratch holds
@@ -200,24 +188,32 @@ def _factors(n: int, dtype: type, cols: int) -> tuple:
     of a (2^n, cols) array, or on the last axis if cols is 1, the
     fastest-varying index bits first.  The 2^n rows are viewed as 2^p1 x
     ... x 2^pk, with the p as equal as factors of at most 2^6 rows allow,
-    and H_p acts on axis 1 of the view (L, 2^p) or (L, 2^p, R)."""
-    k = -(-n // _FACTOR_BITS)
+    and H_p acts on axis 1 of the view (L, 2^p) or (L, 2^p, R).  An
+    integer dtype gets factors of one bit, with None for H_1: a radix-2
+    butterfly, not a matrix product."""
+    integer = np.issubdtype(dtype, np.integer)
+    k = n if integer else -(-n // _FACTOR_BITS)
     factors = []
     inner = cols
     for j in range(k):
         p = n // k + (j < n % k)
         shape = (-1, 1 << p) if inner == 1 else (-1, 1 << p, inner)
-        factors.append((_hadamard(p, dtype), shape))
+        factors.append((None if integer else _hadamard(p, dtype), shape))
         inner <<= p
     return tuple(factors)
 
 
-def _apply(h: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+def _apply(h: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
     """H_p along axis 1 of x, as one batch of products of at most
     _PRODUCT multiply-adds each: out = x @ h on runs of b rows of x
     (L, 2^p) (h is symmetric), out[l] = h @ x[l] on column ranges of
     width w of each x[l] (2^p, R).  b and w are powers of two that divide
-    L and R, and the views keep a unit stride for BLAS."""
+    L and R, and the views keep a unit stride for BLAS.  h None is H_1
+    on integers, applied as sum and difference of the two halves."""
+    if h is None:
+        np.add(x[:, 0], x[:, 1], out=out[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=out[:, 1])
+        return
     rows = len(h)
     most = _PRODUCT // (rows * rows)
     if x.ndim == 2:
@@ -289,44 +285,6 @@ def _each(parts: list, work) -> None:
             raise error
 
 
-def _pass(groups: np.ndarray, scratch: np.ndarray, butterfly) -> None:
-    """Apply ``butterfly`` to ``groups`` (rows, lanes, h) chunk by chunk:
-    whole rows when h is below the chunk, pieces of one row otherwise.
-    Over 1024 rows shorter than 16 are taken one column at a time:
-    numpy loops slowly over many short rows and fast along one column."""
-    rows, lanes, h = groups.shape
-    row_step = max(1, _CHUNK // h)
-    col_step = 1 if h < 16 and rows > 1024 else min(h, _CHUNK)
-    for r in range(0, rows, row_step):
-        for j in range(0, h, col_step):
-            block = groups[r : r + row_step, :, j : j + col_step]
-            shape = (block.shape[0], block.shape[2])
-            cells = shape[0] * shape[1]
-            temps = [scratch[i * cells : (i + 1) * cells].reshape(shape) for i in range(lanes // 2)]
-            butterfly(block, *temps)
-
-
-def _radix2(block: np.ndarray, t: np.ndarray) -> None:
-    x0, x1 = block[:, 0], block[:, 1]
-    np.subtract(x0, x1, out=t)
-    x0 += x1
-    np.copyto(x1, t)
-
-
-def _radix4(block: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
-    # stage h pairs lanes (0, 1) and (2, 3), stage 2h pairs (0, 2) and (1, 3)
-    x0, x1, x2, x3 = block[:, 0], block[:, 1], block[:, 2], block[:, 3]
-    np.add(x0, x1, out=t)
-    np.subtract(x0, x1, out=u)
-    np.add(x2, x3, out=x0)
-    np.subtract(x2, x3, out=x1)
-    # now t, u, x0, x1 hold the four lanes after stage h
-    np.subtract(t, x0, out=x2)
-    x0 += t
-    np.subtract(u, x1, out=x3)
-    x1 += u
-
-
 def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.ndarray:
     """Exact pair counts N(x) = #{(a, b) in A x B : a XOR b = x}.
 
@@ -342,8 +300,8 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
         raise ValueError("indicator shapes differ")
     forward = _forward_dtype(n)
     f = np.empty(ind_a.shape, dtype=_work_dtype(n))
-    # on the float32 route A's spectrum lies in the upper half of f's bytes
-    fa = f if f.dtype == forward else f.reshape(-1).view(forward)[f.size :].reshape(f.shape)
+    # A's spectrum lies in f's bytes, on the float32 route in their upper half
+    fa = f.reshape(-1).view(forward)[-f.size :].reshape(f.shape)
     fa[...] = ind_a
     fwht_inplace(fa)
     fb = None
@@ -357,15 +315,18 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
 
 
 def _product(out: np.ndarray, fa: np.ndarray, fb: np.ndarray | None) -> None:
-    """out = fa * fb (fa * fa if fb is None), widened to out's dtype and
-    multiplied there, in ascending blocks on the calling thread, so that
-    ``fa`` may lie in the upper half of out's bytes (module docstring);
-    numpy reads a block's input before writing its output where the two
-    overlap."""
+    """out = fa * fb (fa * fa if fb is None), both factors converted to
+    out's dtype and multiplied there, in ascending blocks on the calling
+    thread, so that ``fa`` may lie in out's bytes or in their upper half
+    (module docstring); numpy reads a block's input before writing its
+    output where the two overlap.  The spectra hold integers, so the
+    conversion is exact, and an int64 ``out`` multiplies in int64: a
+    float64 multiply would round products above 2^53."""
     for i in range(0, out.size, _BLOCK):
         block = out[i : i + _BLOCK]
-        np.copyto(block, fa[i : i + _BLOCK])
-        np.multiply(block, block if fb is None else fb[i : i + _BLOCK], out=block)
+        np.copyto(block, fa[i : i + _BLOCK], casting="unsafe")
+        other = block if fb is None else fb[i : i + _BLOCK]
+        np.multiply(block, other, out=block, dtype=out.dtype, casting="unsafe")
 
 
 def _scaled_counts(f: np.ndarray, n: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def brute_counts(a: DenseSet) -> np.ndarray:
 def reference_fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, in
     place, one radix-2 butterfly stage over the whole array at a time;
-    returns ``a``.  Reference for the blocked radix-4 ``fwht_inplace``."""
+    returns ``a``.  Reference for the blocked ``fwht_inplace``."""
     size = a.shape[-1]
     h = 1
     while h < size:

@@ -123,8 +123,9 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_fwht_matches_radix2_reference(n):
-    # odd n ends in a radix-2 stage; from n = 17 on, h reaches 2^15 and
-    # each pass is chunked along h instead of over the groups
+    # int64 takes one radix-2 butterfly per index bit; up to n = 16 a
+    # row is transformed whole, from n = 17 on the low 15 bits block by
+    # block and the others on column blocks
     gen = np.random.default_rng(n)
     v = gen.integers(-3, 4, size=1 << n, dtype=np.int64)
     assert np.array_equal(_fwht(v), reference_fwht(v.copy()))
@@ -174,7 +175,8 @@ def test_float64_fwht_batched_matches_radix2_reference(n):
 def test_small_float64_transforms_make_single_threaded_blas_products(monkeypatch):
     # OpenBLAS runs a product of at most 2^18 multiply-adds (M * N * K)
     # on the calling thread alone; no transform, of any size or float
-    # dtype, makes a larger product, so BLAS never starts threads
+    # dtype, makes a larger product, so BLAS never starts threads, and an
+    # int64 transform makes no product at all
     products = []
     matmul = np.matmul
 
@@ -187,7 +189,10 @@ def test_small_float64_transforms_make_single_threaded_blas_products(monkeypatch
                                                   (3, 1 << 17)]
     for shape in shapes:
         v = np.arange(np.prod(shape), dtype=np.int64).reshape(shape) % 3 - 1
+        products.clear()
         exact = _fwht(v)
+        assert not products, shape
+        assert np.array_equal(exact, reference_fwht(v.copy())), shape
         for dtype in (np.float32, np.float64):
             products.clear()
             assert np.array_equal(_fwht(v.astype(dtype)), exact), (shape, dtype)
@@ -212,10 +217,11 @@ def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
 
 def test_transform_dtype_route():
     # float32 holds the forward bound 2^n exactly up to n = 24, float64
-    # the inverse bound 4^n up to n = 26
+    # up to n = 30 and the inverse bound 4^n up to n = 26; int64 holds 4^n
+    # up to n = 30
     for n, forward, inverse in [(1, np.float32, np.float64), (24, np.float32, np.float64),
                                 (25, np.float64, np.float64), (26, np.float64, np.float64),
-                                (27, np.int64, np.int64), (30, np.int64, np.int64)]:
+                                (27, np.float64, np.int64), (30, np.float64, np.int64)]:
         assert walsh._forward_dtype(n) is forward
         assert walsh._work_dtype(n) is inverse
 
@@ -252,7 +258,9 @@ def test_float64_route_of_xor_pair_counts_matches_float32(monkeypatch, n):
 @pytest.mark.parametrize("n", range(17, 23))
 def test_float32_route_matches_int64_route_on_full_and_random_sets(monkeypatch, n):
     # a full set has the largest forward value, F(0) = 2^n, and every
-    # count 2^n; the blocked kernel and its column pass start at n = 16
+    # count 2^n; the blocked kernel and its column pass start at n = 16.
+    # The int64 route is the one from n = 27 on: float64 forward
+    # transforms, an int64 product and inverse
     gen = np.random.default_rng(680 + n)
     full = np.ones(1 << n, dtype=np.uint8)
     ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
@@ -260,8 +268,9 @@ def test_float32_route_matches_int64_route_on_full_and_random_sets(monkeypatch, 
     by_f32 = [walsh.xor_pair_counts(full), walsh.xor_pair_counts(ind_a),
               walsh.xor_pair_counts(ind_a, ind_b), walsh.xor_pair_counts(full, ind_b)]
     assert (by_f32[0] == 1 << n).all()
+    monkeypatch.setattr(walsh, "_F32_MAX_N", 0)
     monkeypatch.setattr(walsh, "_FLOAT_MAX_N", 0)
-    assert walsh._forward_dtype(n) is np.int64
+    assert walsh._forward_dtype(n) is np.float64 and walsh._work_dtype(n) is np.int64
     by_int = [walsh.xor_pair_counts(full), walsh.xor_pair_counts(ind_a),
               walsh.xor_pair_counts(ind_a, ind_b), walsh.xor_pair_counts(full, ind_b)]
     for fast, slow in zip(by_f32, by_int):
@@ -277,20 +286,60 @@ def test_float32_route_of_the_full_set_at_n24():
     assert counts.dtype == np.int64 and (counts == 1 << n).all()
 
 
+def _product_set(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The indicator of high x low, with low on the low index bits."""
+    return np.outer(high, low).reshape(-1)
+
+
+def _odd_random_indicator(gen, bits: int) -> np.ndarray:
+    """A set of density about 0.9 in F_2^bits, of odd cardinality."""
+    card = int(0.9 * (1 << bits)) | 1
+    ind = np.zeros(1 << bits, dtype=np.uint8)
+    ind[gen.permutation(1 << bits)[:card]] = 1
+    return ind
+
+
+@pytest.mark.slow
+def test_product_sets_at_n27_have_product_counts():
+    # the int64 route at its working size: for A = A2 x A1 the counts are
+    # N_A(x2, x1) = N_A2(x2) N_A1(x1), and likewise for the cross counts.
+    # |A| |B| = F_A(0) F_B(0) is odd and above 2^53, so a spectrum
+    # product rounded in float64 would leave a non-count in the inverse
+    gen = np.random.default_rng(27)
+    a1, b1 = (_odd_random_indicator(gen, 14) for _ in range(2))
+    a2, b2 = (_odd_random_indicator(gen, 13) for _ in range(2))
+    assert int(a1.sum() * a2.sum()) * int(b1.sum() * b2.sum()) > 1 << 53
+
+    def check(counts, low, high):
+        rows = counts.reshape(1 << 13, 1 << 14)
+        for r in range(0, len(rows), 512):
+            assert np.array_equal(rows[r : r + 512], np.outer(high[r : r + 512], low)), r
+
+    ind_a = _product_set(a1, a2)
+    check(walsh.xor_pair_counts(ind_a), limb_xor_pair_counts(a1), limb_xor_pair_counts(a2))
+    ind_b = _product_set(b1, b2)
+    check(walsh.xor_pair_counts(ind_a, ind_b), limb_xor_pair_counts(a1, b1),
+          limb_xor_pair_counts(a2, b2))
+
+
 def test_concurrent_callers_on_more_kernel_threads_than_cores(monkeypatch):
     # callers share the kernel's pool, and every pass is split over more
     # threads than there are cores; a run lost or done twice would break
-    # the counts
+    # the counts.  Each caller also makes int64 transforms, whose
+    # butterfly passes run on the same pool
     gen = np.random.default_rng(900)
     sets = gen.integers(0, 2, size=(6, 1 << 17), dtype=np.uint8)
     monkeypatch.setattr(walsh, "_threads", 1)
     expected = [walsh.xor_pair_counts(s) for s in sets]
+    spectra = [_fwht(s.astype(np.int64)) for s in sets]
     monkeypatch.setattr(walsh, "_threads", 2 * walsh.usable_cpus() + 1)
     monkeypatch.setattr(walsh, "_pool", None)
     results = {}
 
     def call(i):
-        results[i] = [np.array_equal(walsh.xor_pair_counts(sets[i]), expected[i]) for _ in range(3)]
+        results[i] = [np.array_equal(walsh.xor_pair_counts(sets[i]), expected[i])
+                      and np.array_equal(_fwht(sets[i].astype(np.int64)), spectra[i])
+                      for _ in range(3)]
 
     callers = [threading.Thread(target=call, args=(i,)) for i in range(len(sets))]
     interval = sys.getswitchinterval()
@@ -308,11 +357,14 @@ def test_concurrent_callers_on_more_kernel_threads_than_cores(monkeypatch):
     assert results == {i: [True] * 3 for i in range(len(sets))}
 
 
-@pytest.mark.parametrize("route", ["float64", "int64"])
+@pytest.mark.parametrize("route", ["float64", "int64", "n27"])
 @pytest.mark.parametrize("n", [1, 3, 8, 17])
 def test_xor_pair_counts_of_a_batch_equals_its_rows(monkeypatch, route, n):
-    if route == "int64":
+    # "n27" is the dtype pair of n >= 27: float64 forward, int64 inverse
+    if route != "float64":
         monkeypatch.setattr(walsh, "_FLOAT_MAX_N", 0)
+    if route == "n27":
+        monkeypatch.setattr(walsh, "_F32_MAX_N", 0)
     gen = np.random.default_rng(700 + n)
     ind_a, ind_b = gen.integers(0, 2, size=(2, 2, 3, 1 << n), dtype=np.uint8)
     ind_a[0, 0] = 1  # a full row, whose counts are all 2^n
@@ -323,6 +375,9 @@ def test_xor_pair_counts_of_a_batch_equals_its_rows(monkeypatch, route, n):
     for i in np.ndindex(ind_a.shape[:-1]):
         assert np.array_equal(auto[i], walsh.xor_pair_counts(ind_a[i]))
         assert np.array_equal(cross[i], walsh.xor_pair_counts(ind_a[i], ind_b[i]))
+        if route == "n27":
+            assert np.array_equal(auto[i], limb_xor_pair_counts(ind_a[i]))
+            assert np.array_equal(cross[i], limb_xor_pair_counts(ind_a[i], ind_b[i]))
     with pytest.raises(ValueError, match="shapes differ"):
         walsh.xor_pair_counts(ind_a, ind_b[:1])
 
@@ -338,6 +393,24 @@ def test_scaled_counts_rejects_non_counts(dtype):
         f[-1] = bad
         with pytest.raises(AssertionError):
             walsh._scaled_counts(f, n)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_product_into_int64_is_exact(shared):
+    # spectra from n = 27 on reach 2^30 in absolute value; a float64
+    # multiply would round their products above 2^53.  With ``shared`` A's
+    # spectrum lies in out's own bytes, as in xor_pair_counts
+    values = [2**30 - 1, -(2**30 - 1), 2**30 - 5, -(2**30 - 5), 2**30, -(2**30), 3, 0]
+    size = 2 * walsh._BLOCK + 8  # three blocks, the last one short
+    fa = np.resize(np.array(values, dtype=np.float64), size)
+    fb = np.roll(fa, 3)
+    for b in (None, fb):
+        out = np.empty(size, dtype=np.int64)
+        a = out.view(np.float64) if shared else fa.copy()
+        a[...] = fa
+        walsh._product(out, a, b)
+        other = fa if b is None else fb
+        assert out.tolist() == [int(x) * int(y) for x, y in zip(fa.tolist(), other.tolist())]
 
 
 def test_fwht_rejects_bad_shapes():
