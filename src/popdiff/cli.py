@@ -166,8 +166,11 @@ def cmd_gen(args) -> int:
 
 def cmd_dcset(args) -> int:
     a = f2n.read_set(args.input)
-    ac = correlation.autocorrelation(a)
-    report = ac.threshold_report(args.c)
+    if args.counts_csv:
+        ac = correlation.autocorrelation(a)
+        report = ac.threshold_report(args.c)
+    else:  # D straight from the transform, with no count vector
+        report = correlation.dc_threshold_report(a, args.c)
     print(report.describe())
     if args.out:
         f2n.write_set(report.popular, args.out)

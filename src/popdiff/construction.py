@@ -62,10 +62,11 @@ from .correlation import autocorrelation, popular_difference_set
 from .f2n import (
     DenseSet,
     _check_dim,
+    _f2set_sha256,
+    _payload_bytes,
     _payload_dumps,
     _payload_loads,
     make_set,
-    set_sha256,
     translate_packed,
     xor_member_counts,
 )
@@ -741,13 +742,14 @@ class Certificate:
         return self.a2.card >= self.plan.guarantee
 
     def to_json_obj(self) -> dict:
+        payload = _payload_bytes(self.input_set)  # hexed once, for the set and its digest
         return {
             "format": CERT_FORMAT,
             "n": self.n,
             "c": str(self.c),
             "input_card": self.input_set.card,
-            "input_set": _set_payload(self.input_set),
-            "input_sha256": set_sha256(self.input_set),
+            "input_set": payload.decode("ascii"),
+            "input_sha256": _f2set_sha256(self.n, payload),
             "seed": self.seed,
             "budgets": {
                 "lemma_trials": self.budgets.lemma_trials,

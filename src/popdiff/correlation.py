@@ -54,32 +54,16 @@ class Autocorrelation:
         N(x) >= floor(c.num * |A|^2 / (c.den * 2^n)) + 1, so one integer
         threshold decides every point.
         """
-        thr = self._floor_threshold(Fraction(c))
+        thr = _floor_threshold(self.n, self.card, Fraction(c))
         # the comparison's bool bytes are D's 0/1 bytes, so no second vector
         return DenseSet._wrap(self.n, np.greater(self.counts, thr).view(np.uint8))
-
-    def _floor_threshold(self, c: Fraction) -> int:
-        """floor(c |A|^2 / 2^n): N(x) is popular exactly when above it."""
-        if c < 0:
-            raise ValueError(f"parameter c must be non-negative, got {c}")
-        card = self.card
-        return (c.numerator * card * card) // (c.denominator << self.n)
 
     def threshold_report(self, c: Fraction | int) -> "DcReport":
         """Exact summary of D_c(A), with the set, the count-scale threshold
         c * alpha^2 * 2^n = c|A|^2/2^n deciding it, and the least count
         above it."""
         c = Fraction(c)
-        card = self.card
-        return DcReport(
-            n=self.n,
-            c=c,
-            alpha=Fraction(card, self.size),
-            card_a=card,
-            popular=self.popular_set(c),
-            count_threshold=Fraction(c.numerator * card * card, c.denominator << self.n),
-            min_count=self._floor_threshold(c) + 1,
-        )
+        return DcReport.of(self.n, c, self.card, self.popular_set(c))
 
     def write_csv(self, path) -> None:
         lines = ["x,count"]
@@ -110,9 +94,22 @@ def naive_autocorrelation(a: DenseSet) -> Autocorrelation:
     return Autocorrelation(a.n, counts)
 
 
+def _floor_threshold(n: int, card: int, c: Fraction) -> int:
+    """floor(c |A|^2 / 2^n): N(x) is popular exactly when above it."""
+    if c < 0:
+        raise ValueError(f"parameter c must be non-negative, got {c}")
+    return (c.numerator * card * card) // (c.denominator << n)
+
+
 def popular_difference_set(a: DenseSet, c: Fraction | int) -> DenseSet:
-    """D_c(A); c may exceed 1 (the regime where only 0 tends to survive)."""
-    return autocorrelation(a).popular_set(c)
+    """D_c(A); c may exceed 1 (the regime where only 0 tends to survive).
+
+    The same set as ``autocorrelation(a).popular_set(c)``, decided on the
+    same exact integer threshold, but inside the transform's last pass
+    (``walsh.xor_pairs_above``), so the count vector is never built.
+    """
+    thr = _floor_threshold(a.n, a.card, Fraction(c))
+    return DenseSet._wrap(a.n, walsh.xor_pairs_above(a.bits, thr).view(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -127,6 +124,20 @@ class DcReport:
     count_threshold: Fraction  # counts qualify iff strictly above this
     min_count: int  # least integer count that qualifies
 
+    @classmethod
+    def of(cls, n: int, c: Fraction, card: int, popular: DenseSet) -> "DcReport":
+        """The report on D_c(A) = ``popular`` for a set A of ``card``
+        points in F_2^n."""
+        return cls(
+            n=n,
+            c=c,
+            alpha=Fraction(card, 1 << n),
+            card_a=card,
+            popular=popular,
+            count_threshold=Fraction(c.numerator * card * card, c.denominator << n),
+            min_count=_floor_threshold(n, card, c) + 1,
+        )
+
     @property
     def card_d(self) -> int:
         return self.popular.card
@@ -140,8 +151,8 @@ class DcReport:
 
 
 def dc_threshold_report(a: DenseSet, c: Fraction | int) -> DcReport:
-    """``autocorrelation(a).threshold_report(c)``.  Nothing in the package
-    calls it; it stays because ``perfbench/run.py`` traces it by name (its
-    ``TARGETS``), so the traced benchmark run fails without it, until the
-    benchmark's target list changes."""
-    return autocorrelation(a).threshold_report(c)
+    """The report of ``autocorrelation(a).threshold_report(c)``, with D
+    from ``popular_difference_set`` and the threshold from |A| and c, so
+    no count vector is built."""
+    c = Fraction(c)
+    return DcReport.of(a.n, c, a.card, popular_difference_set(a, c))

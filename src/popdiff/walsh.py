@@ -25,18 +25,52 @@ The routes, by dimension:
   2^n <= 2^30; the spectra are converted to int64 and multiplied there,
   and the inverse runs in int64, where 4^n <= 2^60 is inside the range.
 
-Either way the counts come out as exact int64 integers: the final
-division by 2^n is exact and is asserted, together with the sign of
-every count, so no threshold downstream is ever decided in floating
-point.
+Either way every value the inverse leaves is 2^n times an exact count.
+The last pass converts it to int64 and asserts that it is a multiple
+of 2^n and not negative before it divides or compares, so no count and
+no threshold is ever decided in floating point.
+
+The four passes.  Each transform crosses memory twice (below), and
+every other step of ``xor_pair_counts`` and ``xor_pairs_above`` rides
+in one of those passes, on a block that is already in cache:
+
+1. forward, low pass: each block of the 0/1 indicator is converted
+   into its block of the forward buffer, then transformed;
+2. forward, high pass: the column blocks of the forward transform;
+3. inverse, low pass: each block of the inverse buffer is loaded with
+   the product of its spectrum blocks (A's squared, or A's times B's),
+   both factors converted to the inverse dtype and multiplied there (an
+   int64 multiply, since float64 would round products above 2^53), then
+   transformed;
+4. inverse, high pass: each column block, once transformed, is
+   converted to int64 in scratch, checked, and then either shifted
+   right by n into the int64 counts, which lie in the inverse buffer's
+   own bytes, or compared with 2^n thr for the integer threshold thr
+   into a fresh vector of bool bytes; then the buffer is never written
+   back.
+
+Where the low pass is the only one (n <= 15, or an array of at most
+2^16 entries), it does the work of passes 3 and 4 on each block.
 
 No 2^n array beyond the inverse's own buffer holds the spectrum of A:
-it is written into that buffer's bytes, on the float32 route into their
-upper half, and the product is formed in the buffer in ascending blocks
-of B entries.  The write of 8-byte block i ends at byte 8(i+B), and the
-float32 data not yet read starts at byte 4*2^n + 4(i+B) >= 8(i+B), so
-no write reaches data that is still to be read; a block's own input,
-where it overlaps the block's output, is read first.
+it lies in that buffer's bytes, on the float32 route in their upper
+half, so pass 3 overwrites spectrum data as it goes.  With N entries in
+M blocks of B, the last one short where B does not divide N (a batch of
+rows of fewer than B entries), the 8-byte output block b covers bytes
+[8bB, 8(b+1)B), and the float32 spectrum entry k lies at byte 4N + 4k,
+so block b overwrites spectrum entries from 2bB - N to 2(b+1)B - N: at
+most the spectrum blocks 2b - M to 2b - M + 2, and none beyond M - 1.
+So the blocks run in halving phases, [0, (M - 1)/2), then about half of
+the rest, and so on, the phase that starts at block s ending at e =
+max(floor((M + s - 1)/2), s + 1).  Where e is the first of the two, a
+block b < e of the phase overwrites spectrum blocks up to 2b - M + 2 <=
+2e - M <= s - 1, all read by earlier phases.  Otherwise s >= M - 2, and
+the phase's one block s overwrites spectrum blocks up to min(2s - M + 2,
+M - 1) = s, read by earlier phases or its own, which numpy reads before
+it writes.  So the blocks of one phase are independent and run in
+parallel, in any order.  On the float64 and int64 routes each block's
+spectrum lies at the block's own indices, and one phase holds every
+block.
 
 ``fwht_inplace`` has one driver, the Kronecker factorization H_n = H_p1
 (x) ... (x) H_pk of the Sylvester-Hadamard matrix, and two ways to apply
@@ -64,21 +98,20 @@ applies the factors of the low min(n, 15) index bits to each contiguous
 block, and for n > 15 the high pass applies those of the other n - 15
 bits to column blocks, the 2^(n-15) x (B >> (n-15)) submatrices of a
 row viewed as 2^(n-15) x B, each gathered into one half of a scratch
-buffer, transformed against the other half and written back.  Scratch
-buffers are at most 512 KiB, so scratch memory does not grow with 2^n.
+buffer and transformed against the other half, which then holds the
+int64 values of pass 4.  Scratch buffers are at most 512 KiB, so
+scratch memory does not grow with 2^n.
 
-Threads.  The blocks of a pass of the transform and of the final
-division by 2^n are independent.  Over more than one block they
-are split into min(usable CPUs, blocks) runs of consecutive blocks, one
-run per thread, the calling thread among them, each thread with a
-scratch buffer of its own, and a pass ends when every run has.
-The other threads are a pool made on the first such pass, with the
+Threads.  The blocks of a pass (of a phase, in pass 3 on the float32
+route) are independent.  Over more than one block they are split into
+min(usable CPUs, blocks) runs of consecutive blocks, one run per
+thread, the calling thread among them, each thread with a scratch
+buffer of its own, and a pass ends when every run has.  The other
+threads are a pool made on the first such pass, with the
 ``concurrent.futures`` import it needs, so importing this module starts
 no thread.  A forked child (the sweep's worker processes) drops its
 copy of the pool, whose threads do not exist in it, and runs every pass
-on its own thread: the workers already fill the CPUs.  The product's
-blocks run on the calling thread alone, in ascending order, as the
-layout above requires.
+on its own thread: the workers already fill the CPUs.
 """
 
 from __future__ import annotations
@@ -159,27 +192,57 @@ def _hadamard(p: int, dtype: type) -> np.ndarray:
     return h
 
 
-def _kronecker(flat: np.ndarray, n: int) -> None:
+def _kronecker(
+    flat: np.ndarray,
+    n: int,
+    load: tuple = (),
+    out: np.ndarray | None = None,
+    above: int | None = None,
+    phased: bool = False,
+) -> None:
     """Transform every 2^n-entry row of the vector ``flat`` by Kronecker
-    factors, in one pass over memory for the low min(n, _SPAN)
-    bits of the index and one for the rest (module docstring)."""
-    dtype = flat.dtype.type
-    if flat.size <= 2 * _BLOCK:  # as much as one high-pass scratch holds
-        _in_place(flat, np.empty_like(flat), _factors(n, dtype, 1))
+    factors, in one pass over memory for the low min(n, _SPAN) bits of
+    the index and one for the rest (module docstring).
+
+    ``load`` holds vectors of flat's size: the low pass fills each block
+    with the product of their blocks, or with the one vector's block
+    (``_load``), before transforming it.  With ``out`` the last pass
+    writes each part there (``_finish``), as counts or, with ``above``,
+    as whether they exceed it, and not back into ``flat``.  ``phased``
+    runs the low pass in the halving phases that the spectrum in the
+    upper half of flat's bytes requires (module docstring).
+    """
+    if not flat.size:
         return
-    low = min(n, _SPAN)
-    _each(_cut(flat), partial(_low_blocks, _factors(low, dtype, 1)))
-    if n > low:
+    dtype = flat.dtype.type
+    whole = flat.size <= 2 * _BLOCK  # as much as one high-pass scratch holds
+    low = n if whole else min(n, _SPAN)
+    step = flat.size if whole else _BLOCK
+    starts = list(range(0, flat.size, step))
+    finish = partial(_finish, n, above)
+    work = partial(_low_blocks, flat, step, _factors(low, dtype, 1), load,
+                   out if low == n else None, finish)
+    for phase in _phases(len(starts)) if phased else [slice(None)]:
+        _each(starts[phase], work)
+    if low < n:
         high = n - low
         cols = _BLOCK >> high
-        x = flat.reshape(-1, 1 << high, _BLOCK)
-        blocks = [x[r, :, j : j + cols] for r in range(len(x)) for j in range(0, _BLOCK, cols)]
-        _each(blocks, partial(_high_blocks, _factors(high, dtype, cols)))
+        shape = (-1, 1 << high, _BLOCK)
+        keys = [(r, slice(None), slice(j, j + cols))
+                for r in range(flat.size >> n) for j in range(0, _BLOCK, cols)]
+        _each(keys, partial(_high_blocks, flat.reshape(shape), _factors(high, dtype, cols),
+                            None if out is None else out.reshape(shape), finish))
 
 
-def _cut(flat: np.ndarray) -> list:
-    """Consecutive blocks of _BLOCK entries that cover ``flat``."""
-    return [flat[i : i + _BLOCK] for i in range(0, flat.size, _BLOCK)]
+def _phases(blocks: int) -> list:
+    """Slices of the low pass's blocks, in the halving phases [0, (M -
+    1)/2), ... of M blocks (module docstring)."""
+    phases, s = [], 0
+    while s < blocks:
+        e = max((blocks + s - 1) // 2, s + 1)
+        phases.append(slice(s, e))
+        s = e
+    return phases
 
 
 @lru_cache(maxsize=None)
@@ -229,35 +292,88 @@ def _apply(h: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
         np.matmul(h, columns(x), out=columns(out))
 
 
-def _in_place(x: np.ndarray, spare: np.ndarray, factors: tuple) -> None:
+def _transform(x: np.ndarray, spare: np.ndarray, factors: tuple) -> np.ndarray:
     """Apply ``factors`` to the contiguous x, alternating between x and
-    ``spare`` (of x's size): only an odd number of factors copies back."""
+    ``spare`` (of x's size); returns the one of the two that holds the
+    result."""
     src, dst = x, spare
     for h, shape in factors:
         _apply(h, src.reshape(shape), dst.reshape(shape))
         src, dst = dst, src
-    if src is not x:
-        x[...] = src
+    return src
 
 
-def _low_blocks(factors: tuple, blocks: list) -> None:
-    """The low pass on each contiguous block, with a scratch of its own."""
-    spare = np.empty(_BLOCK, dtype=blocks[0].dtype)
-    for block in blocks:
-        _in_place(block, spare[: block.size], factors)
+def _load(x: np.ndarray, blocks: list) -> None:
+    """x = the product of ``blocks`` (one block: its entries; a second
+    block None: the first one's square), each factor converted to x's
+    dtype and multiplied there.  The spectra hold integers, so the
+    conversion is exact, and an int64 x multiplies in int64: a float64
+    multiply would round products above 2^53.  Where the first block
+    overlaps x, numpy reads it before writing x."""
+    np.copyto(x, blocks[0], casting="unsafe")
+    if len(blocks) > 1:
+        other = x if blocks[1] is None else blocks[1]
+        np.multiply(x, other, out=x, dtype=x.dtype, casting="unsafe")
 
 
-def _high_blocks(factors: tuple, blocks: list) -> None:
-    """The high pass on each (2^high, cols) column block: gathered into
-    one half of a scratch of its own, transformed there against the other
-    half, and written back."""
-    scratch = np.empty(2 * _BLOCK, dtype=blocks[0].dtype)
+def _finish(n: int, above: int | None, values: np.ndarray, scratch: np.ndarray,
+            dst: np.ndarray) -> None:
+    """Write ``values``, each 2^n times a count, to ``dst``: the counts
+    into an int64 dst, or whether each count exceeds ``above`` into a
+    bool dst, decided as value > 2^n above on the int64 values.  They are
+    converted to int64 in the bytes of ``scratch``, of 8-byte entries,
+    which may be dst's own.
+
+    Each value must be a multiple of 2^n, not negative.  One mask tests
+    both, since a negative int64 has its sign bit set, and it tests the
+    values at once on the OR of their entries.
+    """
+    part = scratch.view(np.int64)[: values.size].reshape(values.shape)
+    np.copyto(part, values, casting="unsafe")  # float64 entries are integers
+    if int(np.bitwise_or.reduce(part, axis=None)) & (-(1 << 63) | ((1 << n) - 1)):
+        raise AssertionError("inverse transform produced a non-count vector")
+    if above is None:
+        np.right_shift(part, n, out=dst)
+    else:
+        np.greater(part, above << n, out=dst)
+
+
+def _low_blocks(flat: np.ndarray, step: int, factors: tuple, load: tuple,
+                out: np.ndarray | None, finish, starts: list) -> None:
+    """The low pass on the blocks of ``step`` entries of ``flat`` that
+    begin at ``starts``, each loaded, transformed against a scratch of
+    its own, and written back or, with ``out``, finished there
+    (``_kronecker``)."""
+    spare = np.empty(step, dtype=flat.dtype)
+    for i in starts:
+        x = flat[i : i + step]
+        s = spare[: x.size]
+        if load:
+            _load(x, [None if v is None else v[i : i + step] for v in load])
+        y = _transform(x, s, factors)
+        if out is not None:
+            finish(y, x if y is s else s, out[i : i + step])
+        elif y is not x:
+            x[...] = y
+
+
+def _high_blocks(x: np.ndarray, factors: tuple, out: np.ndarray | None, finish,
+                 keys: list) -> None:
+    """The high pass on each (2^high, cols) column block x[key]: gathered
+    into one half of a scratch of its own, transformed there against the
+    other half, and written back or, with ``out``, finished into
+    out[key] (``_kronecker``)."""
+    scratch = np.empty(2 * _BLOCK, dtype=x.dtype)
     gathered, spare = scratch[:_BLOCK], scratch[_BLOCK:]
-    for block in blocks:
-        rows = gathered.reshape(block.shape)
-        rows[...] = block
-        _in_place(gathered, spare, factors)
-        block[...] = rows
+    for key in keys:
+        block = x[key]
+        gathered.reshape(block.shape)[...] = block
+        y = _transform(gathered, spare, factors)
+        rows = y.reshape(block.shape)
+        if out is not None:
+            finish(rows, spare if y is gathered else gathered, out[key])
+        else:
+            block[...] = rows
 
 
 def _each(parts: list, work) -> None:
@@ -292,6 +408,21 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     length; ``ind_b=None`` means B = A (autocorrelation).  Leading axes,
     of the same shape in both, are a batch of rows.  Returns int64.
     """
+    return _pairs(ind_a, ind_b, None)
+
+
+def xor_pairs_above(ind_a: np.ndarray, threshold: int,
+                    ind_b: np.ndarray | None = None) -> np.ndarray:
+    """N(x) > threshold for the integer ``threshold`` and the pair counts
+    N of ``xor_pair_counts(ind_a, ind_b)``, as a bool array of the same
+    shape.  Each comparison is made on the exact int64 count, block by
+    block in the inverse's last pass; no count vector is built."""
+    return _pairs(ind_a, ind_b, threshold)
+
+
+def _pairs(ind_a: np.ndarray, ind_b: np.ndarray | None, threshold: int | None) -> np.ndarray:
+    """The four passes (module docstring): the int64 counts, or with
+    ``threshold`` the bool vector of counts above it."""
     size = ind_a.shape[-1]
     n = size.bit_length() - 1
     if size != 1 << n:
@@ -299,56 +430,18 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     if ind_b is not None and ind_b.shape != ind_a.shape:
         raise ValueError("indicator shapes differ")
     forward = _forward_dtype(n)
-    f = np.empty(ind_a.shape, dtype=_work_dtype(n))
+    f = np.empty(ind_a.size, dtype=_work_dtype(n))
     # A's spectrum lies in f's bytes, on the float32 route in their upper half
-    fa = f.reshape(-1).view(forward)[-f.size :].reshape(f.shape)
-    fa[...] = ind_a
-    fwht_inplace(fa)
+    fa = f.view(forward)[-f.size :]
+    _kronecker(fa, n, load=(ind_a.reshape(-1),))
     fb = None
     if ind_b is not None:
-        fb = ind_b.astype(forward)
-        fwht_inplace(fb)
-    _product(f.reshape(-1), fa.reshape(-1), None if fb is None else fb.reshape(-1))
-    del fa, fb
-    fwht_inplace(f)  # the inverse, up to the factor 2^n
-    return _scaled_counts(f.reshape(-1), n).reshape(f.shape)  # a batch in one pass
-
-
-def _product(out: np.ndarray, fa: np.ndarray, fb: np.ndarray | None) -> None:
-    """out = fa * fb (fa * fa if fb is None), both factors converted to
-    out's dtype and multiplied there, in ascending blocks on the calling
-    thread, so that ``fa`` may lie in out's bytes or in their upper half
-    (module docstring); numpy reads a block's input before writing its
-    output where the two overlap.  The spectra hold integers, so the
-    conversion is exact, and an int64 ``out`` multiplies in int64: a
-    float64 multiply would round products above 2^53."""
-    for i in range(0, out.size, _BLOCK):
-        block = out[i : i + _BLOCK]
-        np.copyto(block, fa[i : i + _BLOCK], casting="unsafe")
-        other = block if fb is None else fb[i : i + _BLOCK]
-        np.multiply(block, other, out=block, dtype=out.dtype, casting="unsafe")
-
-
-def _scaled_counts(f: np.ndarray, n: int) -> np.ndarray:
-    """f / 2^n as int64, written over f's own buffer block by block.
-
-    Each entry of ``f`` must be 2^n times a count: a multiple of 2^n, not
-    negative.  One mask tests both, since a negative int64 has its sign
-    bit set, and it tests a block at once on the OR of its entries.
-    """
-    counts = f.view(np.int64)
-    _each(list(zip(_cut(f), _cut(counts))), partial(_scale_blocks, n))
-    return counts
-
-
-def _scale_blocks(n: int, blocks: list) -> None:
-    """``_scaled_counts`` on each (float block, int64 view of it) of
-    ``blocks``, through one scratch buffer."""
-    bad = -(1 << 63) | ((1 << n) - 1)
-    scratch = np.empty(_BLOCK, dtype=np.int64)
-    for block, counts in blocks:
-        part = scratch[: block.size]
-        np.copyto(part, block, casting="unsafe")  # float64 entries are integers
-        if int(np.bitwise_or.reduce(part)) & bad:
-            raise AssertionError("inverse transform produced a non-count vector")
-        np.right_shift(part, n, out=counts)
+        fb = np.empty(f.size, dtype=forward)
+        _kronecker(fb, n, load=(ind_b.reshape(-1),))
+    if threshold is None:
+        out, above = f.view(np.int64), None
+    else:
+        # every count lies in [0, 2^n], so the clamp decides each one alike
+        out, above = np.empty(f.size, dtype=np.bool_), max(-1, min(int(threshold), size))
+    _kronecker(f, n, load=(fa, fb), out=out, above=above, phased=fa.itemsize < f.itemsize)
+    return out.reshape(ind_a.shape)

@@ -18,7 +18,7 @@ import popdiff
 from popdiff import cli, construction, subspace, walsh
 from popdiff.cli import main
 from popdiff.construction import MAX_TRIALS
-from popdiff.correlation import Autocorrelation, popular_difference_set
+from popdiff.correlation import Autocorrelation, autocorrelation
 from popdiff.f2n import f2set_dumps, f2set_loads, linear_subspace, make_set, read_set, sumset, write_set
 
 from conftest import NON_CANONICAL_EDITS, canonical_json
@@ -77,18 +77,27 @@ def test_dcset_subspace_closed_form(tmp_path):
 
 
 def test_dcset_thresholds_once(tmp_path, capsys, monkeypatch):
+    # D comes from one threshold decided in the transform's last pass;
+    # no count vector is built, and popular_set is not called
     a_path = tmp_path / "A.set"
     run("gen", "--n", "8", "--family", "random", "--card", "100", "--seed", "5",
         "--out", str(a_path))
-    calls = []
-    popular_set = Autocorrelation.popular_set
-    monkeypatch.setattr(Autocorrelation, "popular_set",
-                        lambda self, c: calls.append(c) or popular_set(self, c))
+    thresholds = []
+    above = walsh.xor_pairs_above
+    monkeypatch.setattr(walsh, "xor_pairs_above",
+                        lambda ind, thr, *rest: thresholds.append(thr) or above(ind, thr, *rest))
+
+    def counts(*args):
+        raise AssertionError("dcset without --counts-csv built a count vector")
+
+    monkeypatch.setattr(walsh, "xor_pair_counts", counts)
+    monkeypatch.setattr(Autocorrelation, "popular_set", counts)
     d_path = tmp_path / "D.set"
     assert run("dcset", str(a_path), "--c", "1/4", "--out", str(d_path)) == 0
-    assert len(calls) == 1
+    assert thresholds == [100 * 100 // (4 * 256)]
+    monkeypatch.undo()
     d = read_set(d_path)
-    assert d == popular_difference_set(read_set(a_path), Fraction(1, 4))
+    assert d == autocorrelation(read_set(a_path)).popular_set(Fraction(1, 4))
     assert f"|D|={d.card}\n" in capsys.readouterr().out
 
 

@@ -209,8 +209,10 @@ def test_signed_spectrum_product_at_n21_runs_in_float64(monkeypatch):
     assert np.array_equal(_fwht(spectrum), exact)
 
     dtypes = []
-    transform = walsh.fwht_inplace
-    monkeypatch.setattr(walsh, "fwht_inplace", lambda a: (dtypes.append(a.dtype), transform(a)))
+    kronecker = walsh._kronecker
+    monkeypatch.setattr(walsh, "_kronecker",
+                        lambda flat, n, **passes: (dtypes.append(flat.dtype),
+                                                   kronecker(flat, n, **passes)))
     assert np.array_equal(walsh.xor_pair_counts(ind_a, ind_b), exact >> n)
     assert dtypes == [np.float32, np.float32, np.float64]
 
@@ -382,24 +384,34 @@ def test_xor_pair_counts_of_a_batch_equals_its_rows(monkeypatch, route, n):
         walsh.xor_pair_counts(ind_a, ind_b[:1])
 
 
+@pytest.mark.parametrize("above", [None, 1000])
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-def test_scaled_counts_rejects_non_counts(dtype):
-    # the last entry sits in the last block of the post-pass
+def test_scaled_counts_rejects_non_counts(monkeypatch, dtype, above):
+    # the last entry sits in the last block of the last pass, the high
+    # pass at n = 17; with the transform made the identity, that pass
+    # sees f itself, and writes counts (above None) or counts > above
     n = 17
+    monkeypatch.setattr(walsh, "_transform", lambda x, spare, factors: x)
     good = np.arange(1 << n, dtype=np.int64) << n
-    assert np.array_equal(walsh._scaled_counts(good.astype(dtype), n), np.arange(1 << n))
+    out = np.empty(1 << n, dtype=np.int64 if above is None else np.bool_)
+    walsh._kronecker(good.astype(dtype), n, out=out, above=above)
+    counts = np.arange(1 << n)
+    assert np.array_equal(out, counts if above is None else counts > above)
     for bad in (-(1 << n), 1, 1 << (n - 1), (3 << n) + 1):
         f = good.astype(dtype)
         f[-1] = bad
         with pytest.raises(AssertionError):
-            walsh._scaled_counts(f, n)
+            walsh._kronecker(f, n, out=out, above=above)
 
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_product_into_int64_is_exact(shared):
     # spectra from n = 27 on reach 2^30 in absolute value; a float64
-    # multiply would round their products above 2^53.  With ``shared`` A's
-    # spectrum lies in out's own bytes, as in xor_pair_counts
+    # multiply would round their products above 2^53.  The inverse's low
+    # pass squares A's spectrum (b None) or multiplies it by B's, in
+    # int64, then transforms: at n = 1 the sum and difference of each
+    # pair of products, at most 2^61.  With ``shared`` A's spectrum lies
+    # in out's own bytes, as in xor_pair_counts
     values = [2**30 - 1, -(2**30 - 1), 2**30 - 5, -(2**30 - 5), 2**30, -(2**30), 3, 0]
     size = 2 * walsh._BLOCK + 8  # three blocks, the last one short
     fa = np.resize(np.array(values, dtype=np.float64), size)
@@ -408,9 +420,11 @@ def test_product_into_int64_is_exact(shared):
         out = np.empty(size, dtype=np.int64)
         a = out.view(np.float64) if shared else fa.copy()
         a[...] = fa
-        walsh._product(out, a, b)
+        walsh._kronecker(out, 1, load=(a, b))
         other = fa if b is None else fb
-        assert out.tolist() == [int(x) * int(y) for x, y in zip(fa.tolist(), other.tolist())]
+        products = [int(x) * int(y) for x, y in zip(fa.tolist(), other.tolist())]
+        pairs = zip(products[0::2], products[1::2])
+        assert out.tolist() == [v for p, q in pairs for v in (p + q, p - q)]
 
 
 def test_fwht_rejects_bad_shapes():
@@ -444,6 +458,90 @@ def test_int64_inverse_matches_limb_reference_at_n21():
     assert np.array_equal(cross, limb_xor_pair_counts(ind_a, ind_b))
     assert cross[0] == int((ind_a & ind_b).sum())
     assert int(cross.sum()) == card * card
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_passes_do_not_depend_on_the_schedule(monkeypatch, n):
+    # every pass runs its parts in reverse order on one thread, so the
+    # parts that one _each call runs must not depend on each other: on
+    # the float32 route pass 3 overwrites A's spectrum as it goes, and a
+    # block run before an earlier phase's blocks would destroy their
+    # input.  The float32, float64 and int64 inverse routes, counts and
+    # D at c = 1, the cross form, and a batch of three rows (twelve
+    # blocks of 2^15 at n = 17, not a power of two)
+    monkeypatch.setattr(walsh, "_each", lambda parts, work: work(parts[::-1]))
+    gen = np.random.default_rng(950 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, 1 << n), dtype=np.uint8)
+    auto, cross = limb_xor_pair_counts(ind_a), limb_xor_pair_counts(ind_a, ind_b)
+    thr = int(ind_a.sum()) ** 2 >> n
+    rows, partners = np.stack([ind_a, ind_b, ind_a]), np.stack([ind_b, ind_a, ind_a])
+    batch = np.stack([cross, cross, auto])  # N_B,A = N_A,B
+    for f32_max_n, float_max_n in [(walsh._F32_MAX_N, walsh._FLOAT_MAX_N),
+                                   (0, walsh._FLOAT_MAX_N), (0, 0)]:
+        monkeypatch.setattr(walsh, "_F32_MAX_N", f32_max_n)
+        monkeypatch.setattr(walsh, "_FLOAT_MAX_N", float_max_n)
+        assert np.array_equal(walsh.xor_pair_counts(ind_a), auto)
+        assert np.array_equal(walsh.xor_pair_counts(ind_a, ind_b), cross)
+        assert np.array_equal(walsh.xor_pairs_above(ind_a, thr), np.greater(auto, thr))
+        assert np.array_equal(walsh.xor_pairs_above(ind_a, thr, ind_b), np.greater(cross, thr))
+        if n <= 18:
+            assert np.array_equal(walsh.xor_pair_counts(rows, partners), batch)
+            assert np.array_equal(walsh.xor_pairs_above(rows, thr, partners),
+                                  np.greater(batch, thr))
+
+
+@pytest.mark.parametrize("rows, n", [(7, 14), (100, 10)])
+def test_batches_with_a_short_last_block_do_not_depend_on_the_schedule(monkeypatch, rows, n):
+    # a batch of more than 2^16 entries that 2^15 does not divide: its
+    # last block is short, so A's spectrum on the float32 route starts
+    # partway into a block, and an output block reaches one spectrum
+    # block further than with whole blocks.  Parts run in reverse order
+    # on one thread, as in the test above
+    monkeypatch.setattr(walsh, "_each", lambda parts, work: work(parts[::-1]))
+    gen = np.random.default_rng(960 + n)
+    ind_a, ind_b = gen.integers(0, 2, size=(2, rows, 1 << n), dtype=np.uint8)
+    auto = np.stack([limb_xor_pair_counts(row) for row in ind_a])
+    cross = np.stack([limb_xor_pair_counts(x, y) for x, y in zip(ind_a, ind_b)])
+    thr = int(ind_a[0].sum()) ** 2 >> n
+    assert walsh._forward_dtype(n) == np.float32
+    assert np.array_equal(walsh.xor_pair_counts(ind_a), auto)
+    assert np.array_equal(walsh.xor_pair_counts(ind_a, ind_b), cross)
+    assert np.array_equal(walsh.xor_pairs_above(ind_a, thr), np.greater(auto, thr))
+    assert np.array_equal(walsh.xor_pairs_above(ind_a, thr, ind_b), np.greater(cross, thr))
+
+
+@pytest.mark.parametrize("blocks", [3, 4, 5, 8, 13, 128, 512])
+def test_phases_cover_the_blocks_and_never_overwrite_unread_spectrum(blocks):
+    # byte by byte, for whole and short last blocks: no output block of
+    # the float32 route's low pass overwrites a spectrum block that
+    # another block of its phase, or of a later phase, still reads
+    phases = walsh._phases(blocks)
+    assert [b for p in phases for b in range(blocks)[p]] == list(range(blocks))
+    phase_of = {b: i for i, p in enumerate(phases) for b in range(blocks)[p]}
+    B = walsh._BLOCK
+    for size in ((blocks - 1) * B + 1, (blocks - 1) * B + B // 2, blocks * B):
+        for b in range(blocks):
+            lo, hi = 8 * b * B, 8 * min((b + 1) * B, size)
+            for j in range(blocks):
+                read_lo, read_hi = 4 * size + 4 * j * B, 4 * size + 4 * min((j + 1) * B, size)
+                if lo < read_hi and read_lo < hi and j != b:
+                    assert phase_of[j] < phase_of[b], (size, b, j)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fused_popular_set_equals_thresholded_counts(n):
+    # D from the transform's last pass against the limb reference counts
+    # thresholded in Python integers: c = 0 (the sumset), c = 1/2, and
+    # c = 10^30, whose threshold is beyond int64; the report holds the
+    # same fields as the one the count vector gives
+    gen = np.random.default_rng(800 + n)
+    a = DenseSet(n, gen.integers(0, 2, 1 << n))
+    counts = limb_xor_pair_counts(a.bits).tolist()
+    for c in (Fraction(0), Fraction(1, 2), Fraction(10**30)):
+        thr = c.numerator * a.card * a.card // (c.denominator << n)
+        assert popular_difference_set(a, c).point_list() == [
+            x for x, count in enumerate(counts) if count > thr]
+        assert dc_threshold_report(a, c) == autocorrelation(a).threshold_report(c)
 
 
 def test_popular_set_small_example():

@@ -19,7 +19,7 @@ from popdiff.construction import (
     ConstructionPlan,
     construct_popular_sumset,
 )
-from popdiff.f2n import f2set_dumps, f2set_loads, random_set
+from popdiff.f2n import f2set_dumps, f2set_loads, random_set, read_set
 from popdiff.rng import SplitMix64
 
 from conftest import canonical_json, set_from_mask
@@ -120,3 +120,40 @@ def test_certificate_with_a_huge_r_is_rejected_before_the_power():
     obj["plan"]["r"] = 10**9
     with pytest.raises(ValueError, match="too large"):
         Certificate.loads(canonical_json(obj))
+
+
+_HEX = "payload contains characters outside lowercase hex"
+
+
+@pytest.mark.parametrize("text, message", [
+    *((f"F2SET v1 n=4\n0{ch}0f\n", _HEX) for ch in "ABCDEF"),   # uppercase hex
+    ("F2SET v1 n=4\n0 f0\n", _HEX),                             # inner whitespace
+    ("F2SET v1 n=4\n0\tf0\n", _HEX),
+    ("F2SET v1 n=4\n0\x00f0\n", _HEX),                          # a NUL byte
+    ("F2SET v1 n=4\n0f0\n", "payload has 3 characters, expected 4 for n=4"),  # odd length
+    ("F2SET v1 n=3\n0\n", "payload has 1 characters, expected 2 for n=3"),
+    ("F2SET v1 n=4\n0é00\n", _HEX),                             # a non-ASCII character
+    *((f"F2SET v1 n=1\n{ch}\n", "padding bits beyond 2^n must be zero") for ch in "4567cdef"),
+    # at n = 2 the one character holds the 4 points and no padding, so a
+    # bit beyond 2^n takes a second character
+    ("F2SET v1 n=2\n10\n", "payload has 2 characters, expected 1 for n=2"),
+])
+def test_f2set_strictness_keeps_its_messages(text, message, tmp_path):
+    with pytest.raises(ValueError) as refused:
+        f2set_loads(text)
+    assert str(refused.value) == message
+    if len(text.encode()) == len(text) and not message.startswith("payload has"):
+        path = tmp_path / "bad.set"  # a file of the size its header asks for
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError) as refused:
+            read_set(path)
+        assert str(refused.value) == message
+
+
+def test_read_set_names_the_first_byte_that_is_not_ascii(tmp_path):
+    path = tmp_path / "bad.set"
+    path.write_bytes(b"F2SET v1 n=4\n0\xfff0\n")
+    with pytest.raises(ValueError) as refused:
+        read_set(path)
+    assert str(refused.value) == ("set file is not ASCII: 'ascii' codec can't decode byte 0xff "
+                                  "in position 14: ordinal not in range(128)")
