@@ -19,7 +19,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import construction, correlation, f2n, subspace, walsh
 from .construction import (
@@ -198,12 +197,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.certificate).read_bytes().decode("ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        cert = Certificate.read(args.certificate)
+    except OSError as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return 1
-    try:
-        cert = Certificate.loads(text)
     except ValueError as exc:
         print(f"verification check 'schema' failed: {exc}", file=sys.stderr)
         return 3

@@ -63,7 +63,6 @@ from .f2n import (
     DenseSet,
     _check_dim,
     _f2set_sha256,
-    _payload_bytes,
     _payload_dumps,
     _payload_loads,
     make_set,
@@ -687,13 +686,27 @@ class CertStats:
     a1_pairs_in_d: int | None
 
 
-def _set_payload(s: DenseSet | None) -> str | None:
-    """A certificate's set as its F2SET payload line; None stays None."""
-    return None if s is None else _payload_dumps(s)
+# The set-valued fields, in the order that sorted keys put them in the text
+_PAYLOAD_FIELDS = ("a0", "a1", "a2", "input_set")
+# A payload's stand-in in the skeleton, which JSON writes as the text below;
+# no other field of a certificate can hold it
+_SPLICE = "\x00"
+_SPLICE_TEXT = json.dumps(_SPLICE)[1:-1]
 
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _is_joined(text: str, parts: list[str]) -> bool:
+    """Whether text equals ``"".join(parts)``, compared in place, with no
+    text built."""
+    at = 0
+    for part in parts:
+        if not text.startswith(part, at):
+            return False
+        at += len(part)
+    return at == len(text)
 
 
 def _optional_int(value) -> int | None:
@@ -741,15 +754,21 @@ class Certificate:
     def guarantee_met(self) -> bool:
         return self.a2.card >= self.plan.guarantee
 
-    def to_json_obj(self) -> dict:
-        payload = _payload_bytes(self.input_set)  # hexed once, for the set and its digest
-        return {
+    def _parts(self, payload_of) -> list[str]:
+        """The canonical text in parts: JSON pieces alternating with the
+        payloads of the sets that are not None, in text order, where
+        ``payload_of(field)`` is a set field's payload string.  Only the
+        small pieces go through JSON; a payload is lowercase hex, which
+        JSON writes as it is, so joining the parts gives the canonical
+        text byte for byte.  ``input_sha256`` is hashed from the input
+        set's payload."""
+        payloads = {f: payload_of(f) for f in _PAYLOAD_FIELDS if getattr(self, f) is not None}
+        obj = {
             "format": CERT_FORMAT,
             "n": self.n,
             "c": str(self.c),
             "input_card": self.input_set.card,
-            "input_set": payload.decode("ascii"),
-            "input_sha256": _f2set_sha256(self.n, payload),
+            "input_sha256": _f2set_sha256(self.n, payloads["input_set"].encode("ascii")),
             "seed": self.seed,
             "budgets": {
                 "lemma_trials": self.budgets.lemma_trials,
@@ -757,9 +776,6 @@ class Certificate:
             },
             "plan": self.plan.to_json_obj(),
             "translates": list(self.translates),
-            "a0": _set_payload(self.a0),
-            "a1": _set_payload(self.a1),
-            "a2": _set_payload(self.a2),
             "stats": {
                 **vars(self.stats),
                 "card_a0": None if self.a0 is None else self.a0.card,
@@ -768,11 +784,18 @@ class Certificate:
             "verified": self.verified,
             "guarantee_met": self.guarantee_met,
         }
+        for field in _PAYLOAD_FIELDS:
+            obj[field] = _SPLICE if field in payloads else None
+        pieces = _canonical_json(obj).split(_SPLICE_TEXT)
+        values = list(payloads.values())
+        parts = pieces + values
+        parts[::2], parts[1::2] = pieces, values
+        return parts
 
     def dumps(self) -> str:
         """The canonical text: sorted keys, two-space indentation and a
         final newline."""
-        return _canonical_json(self.to_json_obj())
+        return "".join(self._parts(lambda field: _payload_dumps(getattr(self, field))))
 
     @classmethod
     def from_json_obj(cls, obj) -> "Certificate":
@@ -788,19 +811,26 @@ class Certificate:
     @classmethod
     def _parse(cls, obj, text: str | None) -> "Certificate":
         """The certificate ``obj`` holds, built once; raises ValueError unless
-        ``text`` (for None, the canonical JSON of ``obj``) is its ``dumps()``."""
+        ``text`` (for None, the canonical JSON of ``obj``) is its ``dumps()``.
+
+        No set is written as text again.  Each payload string of ``obj``
+        decoded to its set, and F2SET gives every set one payload, so
+        ``dumps()`` is the JSON pieces with those strings between them; the
+        text is compared with these parts in place."""
         try:
             cert = cls._build(obj)
-            canonical = cert.dumps()
-            if text is None:
+            loaded = text is not None
+            if not loaded:
                 text = _canonical_json(obj)
-            elif text != canonical and _canonical_json(obj) == canonical:
+            parts = cert._parts(obj.__getitem__)
+            canonical = _is_joined(text, parts)
+            if not canonical and loaded and _is_joined(_canonical_json(obj), parts):
                 # JSON round-trips the canonical object exactly, so a text
                 # that is not dumps() has non-canonical fields or another layout
                 raise ValueError("the certificate text is not in canonical layout")
         except (KeyError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-        if text != canonical:
+        if not canonical:
             raise ValueError("the certificate is not the canonical form of the fields it holds")
         return cert
 
@@ -874,7 +904,15 @@ class Certificate:
 
     @classmethod
     def read(cls, path) -> "Certificate":
-        return cls.loads(Path(path).read_bytes().decode("ascii"))
+        """Read a certificate file; OSError when it cannot be read, and
+        ValueError, as from ``loads``, when it is not ASCII."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"certificate is not ASCII: {exc}") from None
+        del data  # the text is the one copy held while it is parsed
+        return cls.loads(text)
 
 
 def construct_popular_sumset(

@@ -387,14 +387,13 @@ def _payload_loads(n: int, payload: str | bytes) -> DenseSet:
         raise ValueError(
             f"payload has {len(payload)} characters, expected {expected_chars} for n={n}"
         )
-    if isinstance(payload, str):
-        # a non-ASCII character becomes "?", which is not hex, one byte for one character
-        payload = payload.encode("ascii", "replace")
+    # unhexlify reads a str of ASCII characters in place, with no encoded copy
+    zero, upper = ("0", "ABCDEF") if isinstance(payload, str) else (b"0", b"ABCDEF")
     try:
-        raw = binascii.unhexlify(payload + b"0" * (expected_chars % 2))  # n <= 2: a zero high nibble
-    except binascii.Error:  # a character that is not hex, whitespace included
+        raw = binascii.unhexlify(payload + zero * (expected_chars % 2))  # n <= 2: a zero high nibble
+    except ValueError:  # not hex, whitespace included, or a str that is not ASCII
         raw = None
-    if raw is None or any(c in payload for c in b"ABCDEF"):  # unhexlify takes uppercase too
+    if raw is None or any(c in payload for c in upper):  # unhexlify takes uppercase too
         raise ValueError("payload contains characters outside lowercase hex")
     packed = _swap_nibbles(np.frombuffer(raw, dtype=np.uint8))
     if n < 3 and packed[0] >> (1 << n):

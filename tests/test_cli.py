@@ -307,6 +307,21 @@ def test_verify_unreadable_and_malformed(tmp_path):
     assert run("verify", str(garbage)) == 3
 
 
+def test_verify_non_ascii_certificate_is_a_schema_failure(small_cert, tmp_path, capsys):
+    # a malformed certificate fails 'schema' with exit 3; only a file that
+    # cannot be read exits 1
+    text = small_cert.read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.replace('"format"', '"förmat"').encode("utf-8"))
+    assert run("verify", str(bad)) == 3
+    assert capsys.readouterr().err == (
+        "verification check 'schema' failed: certificate is not ASCII: 'ascii' codec can't "
+        f"decode byte 0xc3 in position {text.index('format') + 1}: ordinal not in range(128)\n"
+    )
+    assert run("verify", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("cannot read certificate: ")
+
+
 def test_bound_values(capsys):
     assert run("bound", "16", "1/2", "1/16") == 0
     assert capsys.readouterr().out.strip() == "42"

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from popdiff import construction
+from popdiff import construction, f2n
 from popdiff.construction import (
     MAX_TRIALS,
     BoundaryAmbiguous,
@@ -1380,12 +1380,25 @@ def test_verify_compares_every_certificate_field_with_the_replay():
     assert exc.value.check == "plan"
 
 
+_NON_CANONICAL_MESSAGES = {
+    "seed_plus_2_64": r"^seed must be an integer in \[0, 2\^64\), got 18446744073709551617$",
+    "compact_json": "^the certificate text is not in canonical layout$",
+    **{case: "^the certificate is not the canonical form of the fields it holds$" for case in
+       ("c_decimal_string", "c_json_float", "c_padded", "n_float", "extra_field")},
+}
+
+
 def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
     calls = []
     dump = construction._canonical_json
     monkeypatch.setattr(
         construction, "_canonical_json", lambda obj: calls.append(1) or dump(obj)
     )
+    # loads hexes no set, valid text or not: it compares the text with
+    # the payloads it decoded
+    hexed = []
+    hex_payload = f2n._payload_bytes
+    monkeypatch.setattr(f2n, "_payload_bytes", lambda s: hexed.append(1) or hex_payload(s))
     cert = Certificate.loads(cert_text)
     assert len(calls) == 1
     # the verifier compares the replay with the certificate as values, so
@@ -1398,12 +1411,11 @@ def test_loads_serializes_once_and_keeps_its_messages(monkeypatch, cert_text):
         verify_certificate(cert)
     assert len(calls) == 1
     obj = json.loads(cert_text)
-    for edit, message in (
-        (NON_CANONICAL_EDITS["compact_json"], "not in canonical layout"),
-        (NON_CANONICAL_EDITS["extra_field"], "not the canonical form of the fields"),
-    ):
+    assert list(_NON_CANONICAL_MESSAGES) == list(NON_CANONICAL_EDITS)
+    for case, message in _NON_CANONICAL_MESSAGES.items():
         with pytest.raises(ValueError, match=message):
-            Certificate.loads(edit(obj))
+            Certificate.loads(NON_CANONICAL_EDITS[case](obj))
+    assert not hexed
 
 
 def test_every_certificate_parse_builds_once(monkeypatch, cert_text):
@@ -1450,3 +1462,76 @@ def test_loads_refuses_a_dimension_out_of_range_before_allocating(cert_text):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _payload_spans(text: str) -> list[tuple[int, int]]:
+    """Where each set payload of a certificate text starts and ends."""
+    obj = json.loads(text)
+    spans = []
+    for field in ("a0", "a1", "a2", "input_set"):
+        start = text.index(f'\n  "{field}": "') + len(f'\n  "{field}": "')
+        spans.append((start, start + len(obj[field])))
+    return spans
+
+
+def test_loads_checks_every_character_of_a_small_certificate():
+    cert = construct_popular_sumset(random_set(6, 40, SplitMix64(4)), Fraction(1, 4), seed=1)
+    assert cert.a0 is not None  # all four payloads are present
+    text = cert.dumps()
+    assert Certificate.loads(text) == cert
+    spans = _payload_spans(text)
+    skeleton = [i for i in range(len(text)) if not any(a <= i < b for a, b in spans)]
+
+    def refused_or_canonical(edited: str) -> bool:
+        # loads takes no text but the dumps() of what it holds; an edited
+        # digit of a stored integer, the seed say, is another certificate,
+        # which the verifier's replay refutes
+        try:
+            return Certificate.loads(edited).dumps() == edited
+        except ValueError:
+            return True
+
+    for i in skeleton:
+        for ch in '07aF ",:}\n\\':
+            if ch != text[i]:
+                assert refused_or_canonical(text[:i] + ch + text[i + 1:]), (i, ch)
+        assert refused_or_canonical(text[:i] + text[i + 1:]), i
+    for i in skeleton + [len(text)]:  # the end-of-text check refuses text after the last "\n"
+        for ch in '07aF ",:}\n\\':
+            assert refused_or_canonical(text[:i] + ch + text[i:]), (i, ch)
+    for a, b in spans:
+        for i in range(a, b):
+            ch = text[i]
+            for edited in (
+                text[:i] + (ch.upper() if ch.isalpha() else "A") + text[i + 1:],
+                text[:i] + "\\u%04x" % ord(ch) + text[i + 1:],  # the same JSON value
+                text[:i] + ch + text[i:],
+            ):
+                with pytest.raises(ValueError):
+                    Certificate.loads(edited)
+    # the text is compared with the payloads its object holds: an a0 of
+    # the same cardinality leaves the skeleton as it is
+    obj = json.loads(text)
+    a0 = obj["a0"]
+    obj["a0"] = a0[1] + a0[0] + a0[2:]  # two digits swapped
+    assert obj["a0"] != a0 and Certificate.from_json_obj(obj).a0.card == cert.a0.card
+    with pytest.raises(ValueError):
+        Certificate._parse(obj, text)
+
+
+def test_certificate_codec_peak_memory_per_point():
+    n = 18
+    cert = construct_popular_sumset(random_set(n, 1 << (n - 1), SplitMix64(7)), Fraction(1, 16), seed=7)
+    assert cert.a0 is not None  # four payloads of 2^n / 4 characters each
+    text = cert.dumps()
+    peaks = {}
+    for name, call in (("loads", lambda: Certificate.loads(text)),
+                       ("dumps", Certificate.loads(text).dumps)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / (1 << n)
+        finally:
+            tracemalloc.stop()
+    assert peaks["loads"] <= 7, peaks
+    assert peaks["dumps"] <= 2.5, peaks
