@@ -55,7 +55,6 @@ from .f2n import (
 from .rng import SplitMix64
 from .subspace import (
     SEARCH_DIM_CAP,
-    MaxSubspaceResult,
     SubspaceBasis,
     max_subspace_in,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "DegenerateInput",
     "DenseSet",
     "MAX_DIM",
-    "MaxSubspaceResult",
     "PlanInfeasible",
     "RetryExhausted",
     "SEARCH_DIM_CAP",

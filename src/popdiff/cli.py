@@ -1,11 +1,12 @@
 """Command line harness: generators, threshold reports, certified
 constructions, certificate verification, parameter sweeps.
 
-Exit codes: 0 success, 1 usage or parse error, 2 retry budget exhausted,
-3 certificate verification failure.  Rationals are given as ``p`` or
-``p/q``; floats are rejected so the strict threshold semantics survive
-the command line.  Every integer, and each of p and q, is written in
-ASCII decimal digits with no sign, space, ``_`` or leading zero.
+Exit codes: 0 success, 1 usage or parse error or not enough memory,
+2 retry budget exhausted, 3 certificate verification failure.
+Rationals are given as ``p`` or ``p/q``; floats are rejected so the
+strict threshold semantics survive the command line.  Every integer,
+and each of p and q, is written in ASCII decimal digits with no sign,
+space, ``_`` or leading zero.
 """
 
 from __future__ import annotations
@@ -165,17 +166,13 @@ def cmd_gen(args) -> int:
 
 def cmd_dcset(args) -> int:
     a = f2n.read_set(args.input)
-    if args.counts_csv:
-        ac = correlation.autocorrelation(a)
-        report = ac.threshold_report(args.c)
-    else:  # D straight from the transform, with no count vector
-        report = correlation.dc_threshold_report(a, args.c)
+    report = correlation.dc_threshold_report(a, args.c)
     print(report.describe())
     if args.out:
         f2n.write_set(report.popular, args.out)
         print(f"wrote {args.out}")
     if args.counts_csv:
-        ac.write_csv(args.counts_csv)
+        correlation.autocorrelation(a).write_csv(args.counts_csv)
         print(f"wrote {args.counts_csv}")
     return 0
 
@@ -234,11 +231,10 @@ def cmd_maxsub(args) -> int:
         raise _UsageError(
             f"exact subspace search is capped at n={subspace.SEARCH_DIM_CAP}"
         )
-    result = subspace.max_subspace_in(a)
-    if not result.zero_in_set:
+    if 0 not in a:
         print("0 is not in the set; no subspace fits (dimension 0)")
         return 0
-    basis = result.basis
+    basis = subspace.max_subspace_in(a)
     hex_basis = " ".join(f"{v:x}" for v in basis.vectors)
     print(f"dimension={basis.dim} cardinality={basis.cardinality} basis=[{hex_basis}]")
     return 0
@@ -431,6 +427,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    except MemoryError as exc:  # numpy's failed allocations included
+        detail = str(exc)
+        print(f"error: not enough memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -348,7 +348,9 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
             break
         out = out & translate_packed(packed, x1 ^ x)
     if not out.any():
-        return DenseSet(a.n), translates
+        empty = DenseSet(a.n)
+        empty._card = 0  # known, so no stage scans its 2^n zero bytes
+        return empty, translates
     return DenseSet._from_packed(a.n, translate_packed(out, x1)), translates
 
 
@@ -393,6 +395,8 @@ def _pairs_out(x: DenseSet, d: DenseSet) -> int:
     autocorrelation: gathered from the |X|^2 pairwise XORs, counted as
     #{(x, z) : z not in D, x + z in X}, or the autocorrelation of X
     summed over D^c.  All three are the same exact integer."""
+    if not x.card:
+        return 0  # an empty X has no pairs, so it need not be listed
     route = _route(x.card, d, transforms=2)
     if route == "transform":
         return int(autocorrelation(x).counts.sum(where=d.bits == 0))

@@ -183,9 +183,6 @@ class DenseSet:
             self._packed.flags.writeable = False
         return self._packed
 
-    def point_list(self) -> list[int]:
-        return np.flatnonzero(self.bits.view(np.bool_)).tolist()
-
     def translate(self, t: int) -> "DenseSet":
         """The translate {t + a : a in A}; an involution in t.
 

@@ -82,16 +82,6 @@ class SubspaceBasis:
         return 1 << self.dim
 
 
-@dataclass(frozen=True)
-class MaxSubspaceResult:
-    basis: SubspaceBasis
-    zero_in_set: bool  # False means the search never ran: 0 was missing
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
 class _Stop(Exception):
     """Best possible dimension reached; unwind the whole search."""
 
@@ -207,17 +197,18 @@ def _max_weight(points: np.ndarray) -> int:
     return int(weights.max())
 
 
-def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
-    """A maximum-cardinality linear subspace contained in ``d``, exactly.
+def max_subspace_in(d: DenseSet) -> SubspaceBasis:
+    """The basis of a maximum-cardinality linear subspace contained in
+    ``d``, exactly.
 
-    If 0 is missing from the set no subspace fits at all; the result is
-    dimension 0 with ``zero_in_set=False``.  Otherwise the returned basis
+    If 0 is missing from the set no subspace fits at all, and the basis
+    is empty, as it is when {0} is the largest.  Otherwise the basis
     spans a maximum-dimension subspace of ``d`` and is the
     lexicographically least canonical basis among all of them.
     """
     bits = d.bits
     if not bits[0]:
-        return MaxSubspaceResult(SubspaceBasis(d.n, ()), zero_in_set=False)
+        return SubspaceBasis(d.n, ())
     points = d.points()
     dim_cap = d.card.bit_length() - 1  # 2^dim <= |D| always
     if int(points[-1]).bit_count() < dim_cap:  # else the weight cap cannot be lower
@@ -239,4 +230,4 @@ def max_subspace_in(d: DenseSet) -> MaxSubspaceResult:
         _search(points, points[1:], level, [], state)
     except _Stop:
         pass
-    return MaxSubspaceResult(SubspaceBasis(d.n, state["best_basis"]), zero_in_set=True)
+    return SubspaceBasis(d.n, state["best_basis"])

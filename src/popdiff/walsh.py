@@ -411,13 +411,12 @@ def xor_pair_counts(ind_a: np.ndarray, ind_b: np.ndarray | None = None) -> np.nd
     return _pairs(ind_a, ind_b, None)
 
 
-def xor_pairs_above(ind_a: np.ndarray, threshold: int,
-                    ind_b: np.ndarray | None = None) -> np.ndarray:
+def xor_pairs_above(ind_a: np.ndarray, threshold: int) -> np.ndarray:
     """N(x) > threshold for the integer ``threshold`` and the pair counts
-    N of ``xor_pair_counts(ind_a, ind_b)``, as a bool array of the same
-    shape.  Each comparison is made on the exact int64 count, block by
-    block in the inverse's last pass; no count vector is built."""
-    return _pairs(ind_a, ind_b, threshold)
+    N of ``xor_pair_counts(ind_a)``, as a bool array of the same shape.
+    Each comparison is made on the exact int64 count, block by block in
+    the inverse's last pass; no count vector is built."""
+    return _pairs(ind_a, None, threshold)
 
 
 def _pairs(ind_a: np.ndarray, ind_b: np.ndarray | None, threshold: int | None) -> np.ndarray:

@@ -54,7 +54,7 @@ def gaussian_binomial(n: int, k: int) -> int:
 def brute_counts(a: DenseSet) -> np.ndarray:
     """Pair counts by the definitional double loop over members."""
     counts = np.zeros(a.size, dtype=np.int64)
-    pts = a.point_list()
+    pts = a.points().tolist()
     for x in pts:
         for y in pts:
             counts[x ^ y] += 1

@@ -132,7 +132,7 @@ def test_criterion_3_footnote_replication():
     for seed in range(20):
         a = random_set(16, 1 << 15, SplitMix64(seed))
         d = popular_difference_set(a, Fraction(11, 10))
-        if d.point_list() == [0]:
+        if d.points().tolist() == [0]:
             hits += 1
     elapsed = time.time() - started
     assert hits >= 19, hits
@@ -212,7 +212,7 @@ def _mutants(cert_text: str, n: int):
     obj = json.loads(cert_text)
     a2 = f2set_loads(f"F2SET v1 n={n}\n{obj['a2']}\n")
     extra = next(x for x in range(1 << n) if x not in a2)
-    bumped = make_set(n, a2.point_list() + [extra])
+    bumped = make_set(n, a2.points().tolist() + [extra])
     obj["a2"] = f2set_dumps(bumped).split("\n")[1]
     obj["stats"]["card_a2"] = bumped.card
     yield obj  # point added to A'

@@ -42,7 +42,7 @@ def test_gen_subspace_and_niveau(tmp_path):
     assert read_set(v).card == 4
     w = tmp_path / "N.set"
     assert run("gen", "--n", "3", "--family", "niveau", "--wmin", "2", "--out", str(w)) == 0
-    assert read_set(w).point_list() == [3, 5, 6, 7]
+    assert read_set(w).points().tolist() == [3, 5, 6, 7]
 
 
 def test_gen_alpha_must_give_integer_cardinality(tmp_path):
@@ -77,28 +77,58 @@ def test_dcset_subspace_closed_form(tmp_path):
 
 
 def test_dcset_thresholds_once(tmp_path, capsys, monkeypatch):
-    # D comes from one threshold decided in the transform's last pass;
-    # no count vector is built, and popular_set is not called
+    # D comes from one threshold decided in the transform's last pass,
+    # with or without --counts-csv, and popular_set is never called; the
+    # count vector is built only to write the CSV
     a_path = tmp_path / "A.set"
     run("gen", "--n", "8", "--family", "random", "--card", "100", "--seed", "5",
         "--out", str(a_path))
-    thresholds = []
-    above = walsh.xor_pairs_above
+    thresholds, counted = [], []
+    above, pair_counts = walsh.xor_pairs_above, walsh.xor_pair_counts
     monkeypatch.setattr(walsh, "xor_pairs_above",
-                        lambda ind, thr, *rest: thresholds.append(thr) or above(ind, thr, *rest))
+                        lambda ind, thr: thresholds.append(thr) or above(ind, thr))
+    monkeypatch.setattr(walsh, "xor_pair_counts",
+                        lambda ind: counted.append(ind.size) or pair_counts(ind))
 
-    def counts(*args):
-        raise AssertionError("dcset without --counts-csv built a count vector")
+    def never(*args):
+        raise AssertionError("dcset thresholded a count vector")
 
-    monkeypatch.setattr(walsh, "xor_pair_counts", counts)
-    monkeypatch.setattr(Autocorrelation, "popular_set", counts)
-    d_path = tmp_path / "D.set"
+    monkeypatch.setattr(Autocorrelation, "popular_set", never)
+    thr = 100 * 100 // (4 * 256)
+    d_path, d_csv_path, csv_path = tmp_path / "D.set", tmp_path / "D2.set", tmp_path / "N.csv"
     assert run("dcset", str(a_path), "--c", "1/4", "--out", str(d_path)) == 0
-    assert thresholds == [100 * 100 // (4 * 256)]
+    assert thresholds == [thr] and counted == []
+    assert run("dcset", str(a_path), "--c", "1/4", "--out", str(d_csv_path),
+               "--counts-csv", str(csv_path)) == 0
+    assert thresholds == [thr, thr] and counted == [256]
     monkeypatch.undo()
+    assert d_csv_path.read_bytes() == d_path.read_bytes()
     d = read_set(d_path)
     assert d == autocorrelation(read_set(a_path)).popular_set(Fraction(1, 4))
-    assert f"|D|={d.card}\n" in capsys.readouterr().out
+    assert capsys.readouterr().out.count(f"|D|={d.card}\n") == 2
+
+
+def _memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("exhausted", [
+    _memory_error,
+    lambda *args: np.empty(1 << 62, dtype=np.uint8),  # more than any address space
+])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exhausted):
+    # numpy's failed allocations are MemoryErrors too; either kind ends
+    # the command with exit code 1 and one line on stderr, no traceback
+    a_path = tmp_path / "A.set"
+    run("gen", "--n", "6", "--family", "random", "--card", "20", "--seed", "3",
+        "--out", str(a_path))
+    capsys.readouterr()
+    monkeypatch.setattr(walsh, "xor_pairs_above", exhausted)
+    assert run("dcset", str(a_path), "--c", "1/4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not enough memory")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_dcset_rejects_floats(tmp_path):
@@ -292,7 +322,7 @@ def test_verify_point_addition_exit_three(small_cert, tmp_path):
     obj = json.loads(small_cert.read_text())
     a2 = f2set_loads(f"F2SET v1 n={obj['n']}\n{obj['a2']}\n")
     extra = next(x for x in range(1 << obj["n"]) if x not in a2)
-    bumped = make_set(obj["n"], a2.point_list() + [extra])
+    bumped = make_set(obj["n"], a2.points().tolist() + [extra])
     obj["a2"] = f2set_dumps(bumped).split("\n")[1]
     obj["stats"]["card_a2"] = bumped.card
     bad = tmp_path / "bad.json"

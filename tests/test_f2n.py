@@ -87,7 +87,7 @@ def test_random_set_peak_memory_per_point():
 def test_translate_examples():
     a = make_set(2, [0, 1])
     assert a.translate(0) == a
-    assert a.translate(2).point_list() == [2, 3]
+    assert a.translate(2).points().tolist() == [2, 3]
 
 
 def test_translate_involution_and_cardinality():
@@ -228,9 +228,9 @@ def test_xor_member_counts_matches_unblocked_gather():
 
 
 def test_linear_subspace_examples():
-    assert linear_subspace(4, [1, 2]).point_list() == [0, 1, 2, 3]
-    assert linear_subspace(4, []).point_list() == [0]
-    assert linear_subspace(4, [1, 1]).point_list() == [0, 1]
+    assert linear_subspace(4, [1, 2]).points().tolist() == [0, 1, 2, 3]
+    assert linear_subspace(4, []).points().tolist() == [0]
+    assert linear_subspace(4, [1, 1]).points().tolist() == [0, 1]
 
 
 def test_linear_subspace_closure_properties():
@@ -238,7 +238,7 @@ def test_linear_subspace_closure_properties():
     for _ in range(20):
         basis = [rng.below(256) for _ in range(rng.below(5))]
         v = linear_subspace(8, basis)
-        pts = v.point_list()
+        pts = v.points().tolist()
         assert 0 in v
         assert v.card & (v.card - 1) == 0  # power of two
         for x in pts[:8]:
@@ -248,10 +248,10 @@ def test_linear_subspace_closure_properties():
 
 def test_niveau_set_examples():
     assert niveau_set(3, 0) == full_set(3)
-    assert niveau_set(3, 3).point_list() == [7]
+    assert niveau_set(3, 3).points().tolist() == [7]
     # oracle: enumerate Hamming weights directly
     expected = [x for x in range(8) if bin(x).count("1") >= 2]
-    assert niveau_set(3, 2).point_list() == expected == [3, 5, 6, 7]
+    assert niveau_set(3, 2).points().tolist() == expected == [3, 5, 6, 7]
     with pytest.raises(ValueError):
         niveau_set(3, 4)
 
@@ -359,7 +359,7 @@ def test_f2set_payload_strictness_follows_the_format_rule(tmp_path):
                 f2set_loads(text)
             continue
         s = f2set_loads(text)
-        assert s.n == n and s.point_list() == expected
+        assert s.n == n and s.points().tolist() == expected
         assert f2set_dumps(s) == text
         accepted += 1
     # every subset of F_2^n for n = 1..3, and the two hex-only wide payloads
@@ -371,7 +371,7 @@ def test_f2set_payload_strictness_follows_the_format_rule(tmp_path):
             with pytest.raises(ValueError):
                 read_set(path)
         else:
-            assert read_set(path).point_list() == _f2set_rule(4, payload)
+            assert read_set(path).points().tolist() == _f2set_rule(4, payload)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from popdiff import subspace
 from popdiff.correlation import popular_difference_set
 from popdiff.f2n import DenseSet, full_set, linear_subspace, make_set, niveau_set, random_set
 from popdiff.rng import SplitMix64
-from popdiff.subspace import max_subspace_in
+from popdiff.subspace import SubspaceBasis, max_subspace_in
 
 from conftest import all_subspaces, gaussian_binomial, reference_max_subspace, set_from_mask
 
@@ -54,14 +54,12 @@ def test_basic_examples():
     assert max_subspace_in(make_set(4, [0])).dim == 0
     v = linear_subspace(6, [1, 2, 4])
     r = max_subspace_in(v)
-    assert r.dim == 3 and r.basis.vectors == (1, 2, 4)
-    assert linear_subspace(6, r.basis.vectors) == v
+    assert r.dim == 3 and r.vectors == (1, 2, 4)
+    assert linear_subspace(6, r.vectors) == v
 
 
-def test_zero_missing_flag():
-    r = max_subspace_in(make_set(4, [1, 2, 3]))
-    assert not r.zero_in_set
-    assert r.dim == 0
+def test_zero_missing_gives_the_empty_basis():
+    assert max_subspace_in(make_set(4, [1, 2, 3])) == SubspaceBasis(4, ())
 
 
 def test_exhaustive_n3_against_enumeration():
@@ -72,7 +70,7 @@ def test_exhaustive_n3_against_enumeration():
         got = max_subspace_in(d)
         assert got.dim == oracle_max_dim(3, mask, subs), mask
         if got.dim:
-            assert linear_subspace(3, got.basis.vectors).subset_of(d)
+            assert linear_subspace(3, got.vectors).subset_of(d)
 
 
 def test_random_n4_against_enumeration(subspaces_n4):
@@ -98,8 +96,8 @@ def test_basis_is_canonical_and_lex_least(subspaces_n4):
             if len(s) == 1 << best and all((mask >> p) & 1 for p in s):
                 candidates.append(echelon_reduce([p for p in s if p]))
         assert candidates, mask
-        assert got.basis.vectors == min(candidates), mask
-        assert echelon_reduce(got.basis.vectors) == got.basis.vectors
+        assert got.vectors == min(candidates), mask
+        assert echelon_reduce(got.vectors) == got.vectors
 
 
 def test_matches_reference_search():
@@ -112,13 +110,13 @@ def test_matches_reference_search():
             most = 1 << n if n <= 7 else 3 << (n - 2)
             d = with_zero(random_set(n, 1 + rng.below(most), rng))
             got = max_subspace_in(d)
-            assert got.basis.vectors == reference_max_subspace(d), (n, d.point_list())
+            assert got.vectors == reference_max_subspace(d), (n, d.points().tolist())
     for seed in range(3):
         a = random_set(10, 1 << 9, SplitMix64(100 + seed))
         for c in (Fraction(1, 4), Fraction(1), Fraction(9, 8)):
             d = popular_difference_set(a, c)
             got = max_subspace_in(d)
-            assert got.basis.vectors == reference_max_subspace(d), (seed, c)
+            assert got.vectors == reference_max_subspace(d), (seed, c)
 
 
 @pytest.mark.parametrize("n, alpha", [
@@ -132,7 +130,7 @@ def test_random_sets_match_reference_search(n, alpha):
     for seed in range(3):
         a = random_set(n, int(alpha * (1 << n)), SplitMix64(200 + seed))
         d = with_zero(a)
-        assert max_subspace_in(d).basis.vectors == reference_max_subspace(d), seed
+        assert max_subspace_in(d).vectors == reference_max_subspace(d), seed
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
@@ -143,10 +141,10 @@ def test_balls_and_niveau_sets_match_reference_search(n):
     weights = [bin(x).count("1") for x in range(1 << n)]
     for r in range(n + 1):
         ball = make_set(n, [x for x in range(1 << n) if weights[x] <= r])
-        got = max_subspace_in(ball).basis.vectors
+        got = max_subspace_in(ball).vectors
         assert got == reference_max_subspace(ball) == tuple(1 << i for i in range(r)), r
         code = with_zero(niveau_set(n, r))
-        assert max_subspace_in(code).basis.vectors == reference_max_subspace(code), r
+        assert max_subspace_in(code).vectors == reference_max_subspace(code), r
 
 
 def test_pivot_cap_is_sound_on_every_subset_of_f24(subspaces_n4):
@@ -198,7 +196,7 @@ def test_full_groups_up_to_n16():
     for n in range(1, 17):
         r = max_subspace_in(full_set(n))
         assert r.dim == n
-        assert r.basis.vectors == tuple(1 << i for i in range(n))
+        assert r.vectors == tuple(1 << i for i in range(n))
 
 
 def test_near_full_sets_shortcut():
