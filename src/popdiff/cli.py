@@ -325,30 +325,125 @@ def _sweep_cell(n: int, alpha: Fraction, c: Fraction, family: str, seed_idx: int
     return row
 
 
+def _sweep_order(cells: list[tuple]) -> list[int]:
+    """The cell indices in the order the workers take them: largest n
+    first, otherwise in cell order, so that no long cell starts last."""
+    return sorted(range(len(cells)), key=lambda i: -cells[i][0])
+
+
+def _run_worker(cells: list[tuple], tasks: int, fd: int) -> None:
+    """A forked worker's whole life: take cell indices from the pipe
+    ``tasks``, which all workers share, until it is drained; run each; and
+    write to the pipe ``fd`` the pickled (rows, failure), where rows holds
+    (index, row) pairs and failure is None or (index, error).  After a
+    failure, an index is taken but run only if it is lower, since a serial
+    run would reach it first.  The error is the pickled exception, or its
+    type name and message when it does not survive a pickle round trip.
+    An interrupt ends the worker at once, with no rows sent.  Leaves
+    through ``os._exit``, so no atexit handler or stdio flush of the
+    parent runs here."""
+    import os
+    import pickle
+
+    code = 1
+    try:
+        rows, failure = [], None
+        while record := os.read(tasks, 4):
+            index = int.from_bytes(record, "little")
+            if failure is not None and index > failure[0]:
+                continue
+            try:
+                rows.append((index, _sweep_cell(*cells[index])))
+            except Exception as exc:  # the parent raises the lowest-index one
+                try:
+                    error = pickle.dumps(exc)
+                    pickle.loads(error)
+                except Exception:
+                    error = f"{type(exc).__name__}: {exc}"
+                failure = (index, error)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((rows, failure)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
-    """The rows of ``_sweep_cell(*cell)``, in cell order, from forked
-    worker processes; the first error a cell raises is raised here, after
-    the cells not yet started are cancelled and every worker has exited.
-    Cells go out in chunks of ceil(cells / (4 workers)), the rule of
-    ``multiprocessing.Pool.map``: fewer round trips, and the last chunks
-    still small enough to balance the workers."""
-    # imported here, so that commands which fork nothing do not pay for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    """The rows of ``_sweep_cell(*cell)``, in cell order, from ``workers``
+    forked workers that take the cells one at a time in ``_sweep_order``
+    from one shared pipe; the parent runs no cell.
+
+    Every cell below the lowest failing one runs, so that failure is the
+    first of the serial order, and is raised here.  A worker that exits
+    without sending its rows raises ChildProcessError.  Every worker has
+    been waited for when this returns or raises; on an error while
+    collecting, the workers not yet waited for are killed first."""
+    import os
+    import pickle
+    import signal
 
     # the cells' bounds need mpmath: imported once here, the workers inherit
     # it instead of each importing it again
     import mpmath  # noqa: F401
 
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
+    pipes, running, sent = [], [], []
+    tasks, queue = os.pipe()
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(queue)
+                    _run_worker(cells, tasks, write)  # never returns
+            finally:
+                os.close(write)
+            running.append(pid)
+        os.close(tasks)
+        tasks = None
         try:
-            chunk = -(-len(cells) // (4 * workers))
-            return list(pool.map(_sweep_cell, *zip(*cells), chunksize=chunk))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            for index in _sweep_order(cells):
+                # one record per write: a pipe write this small is atomic,
+                # so every read of 4 bytes takes one whole index
+                os.write(queue, index.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every worker is gone; collecting below says how
+        os.close(queue)
+        queue = None
+        for pid, pipe in zip(list(running), pipes):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = f"on signal {-code}" if code < 0 else f"with code {code}"
+                raise ChildProcessError(f"sweep worker {pid} exited {how} before sending its rows")
+            sent.append(pickle.loads(data))
+    finally:
+        for fd in (tasks, queue):
+            if fd is not None:
+                os.close(fd)
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    rows = [None] * len(cells)
+    failures = []
+    for done, failure in sent:
+        for index, row in done:
+            rows[index] = row
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        index, error = min(failures, key=lambda failure: failure[0])
+        if isinstance(error, str):
+            raise ChildProcessError(f"sweep cell {index} raised {error}")
+        raise pickle.loads(error)
+    return rows
 
 
 def cmd_sweep(args) -> int:

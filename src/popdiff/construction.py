@@ -336,6 +336,8 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
 
     so the running intersection starts from A itself with no translate,
     and is translated by x_1 and unpacked once, only if it is non-empty.
+    An empty intersection comes back with its card recorded as 0 and its
+    ``bits`` a shared read-only zero-stride view, not a 2^n buffer.
     """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
@@ -348,8 +350,10 @@ def sample_intersection(a: DenseSet, r: int, rng: SplitMix64) -> tuple[DenseSet,
             break
         out = out & translate_packed(packed, x1 ^ x)
     if not out.any():
-        empty = DenseSet(a.n)
-        empty._card = 0  # known, so no stage scans its 2^n zero bytes
+        # one zero byte seen 2^n times, read-only, with its card recorded, so
+        # an empty trial neither holds nor scans a 2^n buffer
+        empty = DenseSet._wrap(a.n, np.broadcast_to(np.uint8(0), (a.size,)))
+        empty._card = 0
         return empty, translates
     return DenseSet._from_packed(a.n, translate_packed(out, x1)), translates
 

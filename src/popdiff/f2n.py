@@ -101,7 +101,10 @@ class DenseSet:
 
     @classmethod
     def _wrap(cls, n: int, bits: np.ndarray) -> "DenseSet":
-        # internal fast path: bits must already be a fresh uint8 0/1 vector
+        # internal fast path: bits must already be a fresh uint8 0/1 vector,
+        # or a read-only view that no caller writes or reshapes (the empty
+        # trial of construction.sample_intersection is one zero byte seen
+        # 2^n times through a zero stride)
         obj = object.__new__(cls)
         obj.n = n
         obj.bits = bits

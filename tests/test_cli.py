@@ -1,8 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
-import concurrent.futures
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,6 +24,12 @@ from conftest import NON_CANONICAL_EDITS, canonical_json
 
 def run(*args):
     return main(list(args))
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gen_random(tmp_path, capsys):
@@ -441,63 +445,51 @@ def test_sweep_families(tmp_path):
     assert row[5] != ""  # card_a recorded (actual niveau size, at most the budget)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 4)  # 2, 3 and 4 workers on any machine
     base = ["sweep", "--n", "6,8,14,16", "--alpha", "1/2", "--c", "1/16,1", "--seeds", "2",
             "--subspace-cap", "8"]
     serial = tmp_path / "s.csv"
     assert run(*base, "--out", str(serial)) == 0
-    for jobs in ("2", "4"):
+    for jobs in ("2", "3", "4"):
         parallel = tmp_path / f"p{jobs}.csv"
         assert run(*base, "--jobs", jobs, "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
-        assert multiprocessing.active_children() == []
-
-
-class _StubPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and the
-    chunk size and runs the cells in this process, so that no process
-    starts."""
-
-    started = []
-    chunks = []
-
-    def __init__(self, max_workers, mp_context):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *columns, chunksize=1):
-        self.chunks.append(chunksize)
-        return map(fn, *columns)
-
-    def shutdown(self, cancel_futures=False):
-        pass
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize(
     "jobs, seeds, cpus, workers",
-    [("1000000", "5", 3, 3), ("1000000", "2", 8, 2), ("2", "5", 3, 2), ("4", "5", 1, None),
-     ("2", "12", 2, 2)],
-    ids=["cpus", "cells", "jobs", "serial_on_one_cpu", "chunks_of_two"],
+    [("1000000", "5", 3, 3), ("1000000", "1", 8, 2), ("2", "5", 3, 2), ("4", "5", 1, None),
+     ("2", "6", 2, 2)],
+    ids=["cpus", "cells", "jobs", "serial_on_one_cpu", "two_workers_for_twelve_cells"],
 )
 def test_sweep_starts_at_most_one_worker_per_cell_and_cpu(
         tmp_path, monkeypatch, jobs, seeds, cpus, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
-    monkeypatch.setattr(_StubPool, "started", [])
-    monkeypatch.setattr(_StubPool, "chunks", [])
+    # the worker count and the order are checked and the cells then run
+    # here, so no process starts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    base = ["sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", seeds]
+    started = []
+
+    def in_process(cells, count):
+        started.append((cells, count, cli._sweep_order(cells)))
+        return [cli._sweep_cell(*cell) for cell in cells]
+
+    monkeypatch.setattr(cli, "_sweep_in_workers", in_process)
+    base = ["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/4", "--seeds", seeds]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert run(*base, "--out", str(serial)) == 0
+    assert started == []
     assert run(*base, "--jobs", jobs, "--out", str(parallel)) == 0
     assert serial.read_bytes() == parallel.read_bytes()
-    assert _StubPool.started == ([] if workers is None else [workers])
-    # the chunk rule of multiprocessing.Pool.map: ceil(cells / (4 workers))
-    assert _StubPool.chunks == ([] if workers is None else [-(-int(seeds) // (4 * workers))])
+    if workers is None:
+        assert started == []
+        return
+    (cells, count, order), = started
+    assert count == workers == min(int(jobs), len(cells), cpus)
+    # every cell once, the n = 8 cells (the second half) first, each n in cell order
+    assert order == [i for i in range(len(cells)) if cells[i][0] == 8] + \
+        [i for i in range(len(cells)) if cells[i][0] == 6]
 
 
 @pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks:DeprecationWarning")
@@ -528,7 +520,7 @@ def test_sweep_workers_transform_on_one_thread_after_a_threaded_parent(tmp_path,
         assert run(*base, "--out", str(serial)) == 0
         assert run(*base, "--jobs", "2", "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         records = [line.split() for line in log.read_text().splitlines()]
         in_workers = [r for r in records if int(r[0]) != parent]
         assert in_workers and all(r[1:] == ["1", "1"] for r in in_workers)
@@ -597,7 +589,98 @@ def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypat
                    "--jobs", jobs, "--out", str(out))
         results.append((code, capsys.readouterr().err, out.exists()))
     assert results[0] == results[1] == (1, "error: no set for this cell\n", False)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_sweep_reports_the_lowest_failing_cell_under_every_jobs(tmp_path, monkeypatch, capsys):
+    # cells 0-2 have n = 6 and cells 3-5 n = 8, so the workers take cells
+    # 3 and 4 first; on two workers both fail before cell 1 is taken, so a
+    # worker that failed must still run a lower cell, and the error is
+    # cell 1's, as in a serial run
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 3)
+    cell = cli._sweep_cell
+    ran = tmp_path / "ran.log"
+
+    def failing(*args):
+        index = args[4] + 3 * (args[0] == 8)  # seed index, plus 3 at n = 8
+        with open(ran, "a") as handle:
+            handle.write(f"{index}\n")
+        if index in (1, 3, 4):
+            raise ValueError(f"cell {index} failed")
+        return cell(*args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", failing)
+    cells = [(6,)] * 3 + [(8,)] * 3
+    assert cli._sweep_order(cells) == [3, 4, 5, 0, 1, 2]
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"{jobs}.csv"
+        code = run("sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/4", "--seeds", "3",
+                   "--jobs", jobs, "--out", str(out))
+        assert (code, capsys.readouterr().err, out.exists()) == (1, "error: cell 1 failed\n", False)
+        assert_no_child_left()
+        ran_cells = sorted(int(line) for line in ran.read_text().split())
+        ran.unlink()
+        # a serial run stops at cell 1; workers run every cell below 1 and
+        # nothing twice
+        if jobs == "1":
+            assert ran_cells == [0, 1]
+        else:
+            assert ran_cells[:2] == [0, 1] and len(set(ran_cells)) == len(ran_cells)
+
+
+def test_sweep_worker_that_exits_without_its_rows_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def dies(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise AssertionError("a cell ran in the parent")
+
+    monkeypatch.setattr(cli, "_sweep_cell", dies)
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", "2",
+               "--jobs", "2", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker ") and err.count("\n") == 1, err
+    assert "exited with code 3 before sending its rows" in err
+    assert not out.exists()
+    assert_no_child_left()
+
+
+class _Unpicklable(ValueError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # no pickle for a lambda
+
+
+def test_sweep_cell_error_that_cannot_be_pickled_keeps_its_type_and_message(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 2)
+
+    def raises(*args):
+        raise _Unpicklable(f"cell {args[4]} has a hook")
+
+    monkeypatch.setattr(cli, "_sweep_cell", raises)
+    base = ["sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", "2"]
+    assert run(*base, "--out", str(tmp_path / "1.csv")) == 1
+    assert capsys.readouterr().err == "error: cell 0 has a hook\n"
+    assert run(*base, "--jobs", "2", "--out", str(tmp_path / "2.csv")) == 1
+    assert capsys.readouterr().err == "error: sweep cell 0 raised _Unpicklable: cell 0 has a hook\n"
+    assert_no_child_left()
+
+
+def test_sweep_waits_for_every_worker_when_collecting_is_interrupted(tmp_path, monkeypatch):
+    monkeypatch.setattr(walsh, "usable_cpus", lambda: 2)
+
+    def interrupted(status):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "waitstatus_to_exitcode", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run("sweep", "--n", "6", "--alpha", "1/2", "--c", "1/4", "--seeds", "2",
+            "--jobs", "2", "--out", str(tmp_path / "s.csv"))
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(

@@ -422,6 +422,35 @@ def test_find_lemma_set_on_hyperplane():
     assert stage.s_count == 0
 
 
+def test_empty_intersection_trials_hold_no_full_length_buffer():
+    # the hyperplane construct of CI (n = 18, c = 1/4, seed 7) runs 61
+    # empty trials before it accepts.  All 61 held at once, with their
+    # lemma tests, hold under 64 KB, where one 2^18-byte vector each came
+    # to 15.6 MB; their peak is one trial's own, the translate kernel's
+    # temporaries (about 0.43 MB), not a sum over the trials
+    h = linear_subspace(18, [1 << i for i in range(17)])
+    c = Fraction(1, 4)
+    plan, d = choose_sigma(18, h.card, c), popular_difference_set(h, c)
+    rng = SplitMix64(7)
+    h.packed_bits()  # packed once, before the trials, as construct does
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(61):
+            a0, _ = sample_intersection(h, plan.r, rng)
+            assert not lemma_accept(a0, h, plan, d).accepted
+            held.append(a0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10, kept
+    assert peak < 1 << 20, peak
+    for a0 in held:
+        assert a0.card == 0 and a0.size == 1 << 18 and not a0.bits.any()
+        assert not a0.bits.flags.writeable and a0.bits.strides == (0,)
+    assert find_lemma_set(h, plan, d, SplitMix64(7)).trials == 62
+
+
 def test_find_lemma_set_random_runs_within_fifty_trials():
     for seed in range(5):
         a = random_set(12, 2048, SplitMix64(seed))

@@ -1,6 +1,7 @@
 """Exact maximum-subspace search against independent enumeration."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from popdiff.rng import SplitMix64
 from popdiff.subspace import SubspaceBasis, max_subspace_in
 
 from conftest import all_subspaces, gaussian_binomial, reference_max_subspace, set_from_mask
+
+
+# each node representation through its own entry, whatever n is
+by_bitsets = partial(subspace._max_subspace, root=subspace._bitset_root)
+by_arrays = partial(subspace._max_subspace, root=subspace._array_root)
+
+
+def assert_both_match_reference(d, context=None):
+    """Both node representations return the reference search's basis."""
+    want = reference_max_subspace(d)
+    assert by_bitsets(d).vectors == want, ("bitsets", context, d.points().tolist())
+    assert by_arrays(d).vectors == want, ("arrays", context, d.points().tolist())
 
 
 def echelon_reduce(vectors):
@@ -108,15 +121,11 @@ def test_matches_reference_search():
             # and the hyperplane shortcut); up to density 3/4 at n = 8, 9,
             # where denser sets take the reference minutes
             most = 1 << n if n <= 7 else 3 << (n - 2)
-            d = with_zero(random_set(n, 1 + rng.below(most), rng))
-            got = max_subspace_in(d)
-            assert got.vectors == reference_max_subspace(d), (n, d.points().tolist())
+            assert_both_match_reference(with_zero(random_set(n, 1 + rng.below(most), rng)), n)
     for seed in range(3):
         a = random_set(10, 1 << 9, SplitMix64(100 + seed))
         for c in (Fraction(1, 4), Fraction(1), Fraction(9, 8)):
-            d = popular_difference_set(a, c)
-            got = max_subspace_in(d)
-            assert got.vectors == reference_max_subspace(d), (seed, c)
+            assert_both_match_reference(popular_difference_set(a, c), (seed, c))
 
 
 @pytest.mark.parametrize("n, alpha", [
@@ -129,8 +138,7 @@ def test_matches_reference_search():
 def test_random_sets_match_reference_search(n, alpha):
     for seed in range(3):
         a = random_set(n, int(alpha * (1 << n)), SplitMix64(200 + seed))
-        d = with_zero(a)
-        assert max_subspace_in(d).vectors == reference_max_subspace(d), seed
+        assert_both_match_reference(with_zero(a), seed)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
@@ -141,13 +149,13 @@ def test_balls_and_niveau_sets_match_reference_search(n):
     weights = [bin(x).count("1") for x in range(1 << n)]
     for r in range(n + 1):
         ball = make_set(n, [x for x in range(1 << n) if weights[x] <= r])
-        got = max_subspace_in(ball).vectors
-        assert got == reference_max_subspace(ball) == tuple(1 << i for i in range(r)), r
-        code = with_zero(niveau_set(n, r))
-        assert max_subspace_in(code).vectors == reference_max_subspace(code), r
+        assert reference_max_subspace(ball) == tuple(1 << i for i in range(r)), r
+        assert_both_match_reference(ball, r)
+        assert_both_match_reference(with_zero(niveau_set(n, r)), r)
 
 
-def test_pivot_cap_is_sound_on_every_subset_of_f24(subspaces_n4):
+@pytest.mark.parametrize("nodes", ["bitsets", "arrays"])
+def test_pivot_cap_is_sound_on_every_subset_of_f24(subspaces_n4, nodes):
     # S runs over the subsets of F_2^4 without 0; the largest subspace whose
     # nonzero points lie in S never exceeds cap(S) <= floor(log2(|S| + 1))
     spans = np.array([sum(1 << p for p in span) for span in subspaces_n4])
@@ -156,27 +164,79 @@ def test_pivot_cap_is_sound_on_every_subset_of_f24(subspaces_n4):
     inside = (masks[:, None] | 1) & spans[None, :] == spans[None, :]
     best = np.where(inside, dims[None, :], 0).max(axis=1)
     points = np.arange(16, dtype=np.int64)
-    caps = np.array([subspace._pivot_cap(points[(mask >> points & 1) == 1]) for mask in masks])
+    if nodes == "bitsets":
+        top_bit = subspace._bitset_masks(4)[1]
+        caps = np.array([subspace._bitset_pivot_cap(mask, top_bit) for mask in masks.tolist()])
+    else:
+        caps = np.array([subspace._pivot_cap(points[(mask >> points & 1) == 1]) for mask in masks])
     count_caps = np.array([(bin(mask).count("1") + 1).bit_length() - 1 for mask in masks])
     assert (best <= caps).all() and (caps <= count_caps).all()
     assert (caps < count_caps).any()  # and it is stronger than the count cap
 
 
-def test_random_half_density_search_visits_few_nodes(monkeypatch):
+@pytest.mark.parametrize("search, nodes", [(by_bitsets, "_bitset_nodes"),
+                                           (by_arrays, "_array_nodes")],
+                         ids=["bitsets", "arrays"])
+def test_random_half_density_search_visits_few_nodes(monkeypatch, search, nodes):
     # the pivot-count cap refutes dimension 6 on this set in a few thousand
     # nodes; the count cap alone took 86,119
     calls = 0
-    search = subspace._search
+    node = getattr(subspace, nodes)
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return search(*args)
+        return node(*args)
 
-    monkeypatch.setattr(subspace, "_search", counted)
+    monkeypatch.setattr(subspace, nodes, counted)
     d = with_zero(random_set(12, 2048, SplitMix64(3)))
-    assert max_subspace_in(d).dim == 5
-    assert calls <= 5000, calls
+    assert search(d).dim == 5
+    assert 0 < calls <= 5000, calls
+
+
+def test_bitset_translate_is_the_xor_translate():
+    rng = SplitMix64(16)
+    for n in range(1, 8):
+        zero_at = subspace._bitset_masks(n)[0]
+        for _ in range(20):
+            points = [x for x in range(1 << n) if rng.below(2)]
+            t = sum(1 << x for x in points)
+            for v in range(1 << n):
+                assert subspace._translate(t, v, zero_at) == sum(1 << (x ^ v) for x in points)
+
+
+@pytest.mark.parametrize("n, picked, other", [(12, "_bitset_root", by_arrays),
+                                              (13, "_array_root", by_bitsets)])
+def test_representation_is_picked_by_n_at_the_boundary(monkeypatch, n, picked, other):
+    # bitset nodes up to n = 12, array nodes from 13; both give one basis
+    # (``other`` holds the unpatched root)
+    assert subspace.BITSET_MAX_N == 12
+    roots = []
+    for name in ("_bitset_root", "_array_root"):
+        root = getattr(subspace, name)
+        monkeypatch.setattr(subspace, name,
+                            lambda *args, name=name, root=root: roots.append(name) or root(*args))
+    a = random_set(n, 1 << (n - 1), SplitMix64(17))
+    sparse = with_zero(random_set(n, 1 << (n - 3), SplitMix64(18)))
+    for d in (popular_difference_set(a, Fraction(1)), sparse):
+        roots.clear()
+        got = max_subspace_in(d)
+        assert roots == [picked]
+        assert got == other(d) and got.dim >= 3
+
+
+@pytest.mark.parametrize("search", [max_subspace_in, by_bitsets, by_arrays],
+                         ids=["max_subspace_in", "bitsets", "arrays"])
+def test_full_group_is_the_unit_basis_with_no_search(monkeypatch, search):
+    want = {n: reference_max_subspace(full_set(n)) for n in range(1, 9)}
+
+    def no_search(*args):
+        raise AssertionError("the full group was searched")
+
+    monkeypatch.setattr(subspace, "_bitset_nodes", no_search)
+    monkeypatch.setattr(subspace, "_array_nodes", no_search)
+    for n in range(1, 9):
+        assert search(full_set(n)).vectors == want[n] == tuple(1 << i for i in range(n))
 
 
 def test_monotone_under_set_growth():
