@@ -35,15 +35,17 @@ every other step of ``xor_pair_counts`` and ``xor_pairs_above`` rides
 in one of those passes, on a block that is already in cache:
 
 1. forward, low pass: each block of the 0/1 indicator is converted
-   into its block of the forward buffer, then transformed;
+   into scratch, transformed there, then written to its block of the
+   forward buffer;
 2. forward, high pass: the column blocks of the forward transform;
-3. inverse, low pass: each block of the inverse buffer is loaded with
-   the product of its spectrum blocks (A's squared, or A's times B's),
-   both factors converted to the inverse dtype and multiplied there (an
-   int64 multiply, since float64 would round products above 2^53), then
-   transformed;
-4. inverse, high pass: each column block, once transformed, is
-   converted to int64 in scratch, checked, and then either shifted
+3. inverse, low pass: each block of the inverse buffer is loaded into
+   scratch as the product of its spectrum blocks (A's squared, or A's
+   times B's), both factors converted to the inverse dtype and
+   multiplied there (an int64 multiply, since float64 would round
+   products above 2^53), transformed there, then written to its block;
+4. inverse, high pass: each column block, once transformed in
+   scratch, is converted to int64 in the scratch's other half, checked,
+   and then either shifted
    right by n into the int64 counts, which lie in the inverse buffer's
    own bytes, or compared with 2^n thr for the integer threshold thr
    into a fresh vector of bool bytes; then the buffer is never written
@@ -66,8 +68,8 @@ max(floor((M + s - 1)/2), s + 1).  Where e is the first of the two, a
 block b < e of the phase overwrites spectrum blocks up to 2b - M + 2 <=
 2e - M <= s - 1, all read by earlier phases.  Otherwise s >= M - 2, and
 the phase's one block s overwrites spectrum blocks up to min(2s - M + 2,
-M - 1) = s, read by earlier phases or its own, which numpy reads before
-it writes.  So the blocks of one phase are independent and run in
+M - 1) = s, read by earlier phases or its own, which it loaded into
+scratch before writing back.  So the blocks of one phase are independent and run in
 parallel, in any order.  On the float64 and int64 routes each block's
 spectrum lies at the block's own indices, and one phase holds every
 block.
@@ -97,10 +99,12 @@ into blocks of B = 2^15 entries, each transformed in cache: the low pass
 applies the factors of the low min(n, 15) index bits to each contiguous
 block, and for n > 15 the high pass applies those of the other n - 15
 bits to column blocks, the 2^(n-15) x (B >> (n-15)) submatrices of a
-row viewed as 2^(n-15) x B, each gathered into one half of a scratch
-buffer and transformed against the other half, which then holds the
-int64 values of pass 4.  Scratch buffers are at most 512 KiB, so
-scratch memory does not grow with 2^n.
+row viewed as 2^(n-15) x B.  Both passes treat a block alike: it is
+loaded into one half of a scratch buffer, transformed there against
+the other half, and written back to its place, or in the last pass
+finished from there, the other half then holding the int64 values of
+pass 4.  A thread's scratch is two halves of at most 2^16 entries, at
+most 1 MiB, so scratch memory does not grow with 2^n.
 
 Threads.  The blocks of a pass (of a phase, in pass 3 on the float32
 route) are independent.  Over more than one block they are split into
@@ -204,8 +208,8 @@ def _kronecker(
     factors, in one pass over memory for the low min(n, _SPAN) bits of
     the index and one for the rest (module docstring).
 
-    ``load`` holds vectors of flat's size: the low pass fills each block
-    with the product of their blocks, or with the one vector's block
+    ``load`` holds vectors of flat's size: the low pass loads each block
+    as the product of their blocks, or as the one vector's block
     (``_load``), before transforming it.  With ``out`` the last pass
     writes each part there (``_finish``), as counts or, with ``above``,
     as whether they exceed it, and not back into ``flat``.  ``phased``
@@ -215,23 +219,23 @@ def _kronecker(
     if not flat.size:
         return
     dtype = flat.dtype.type
-    whole = flat.size <= 2 * _BLOCK  # as much as one high-pass scratch holds
+    whole = flat.size <= 2 * _BLOCK  # one block of at most 2^16 entries
     low = n if whole else min(n, _SPAN)
     step = flat.size if whole else _BLOCK
-    starts = list(range(0, flat.size, step))
+    keys = [slice(i, i + step) for i in range(0, flat.size, step)]
     finish = partial(_finish, n, above)
-    work = partial(_low_blocks, flat, step, _factors(low, dtype, 1), load,
+    work = partial(_blocks, flat, step, _factors(low, dtype, 1), load,
                    out if low == n else None, finish)
-    for phase in _phases(len(starts)) if phased else [slice(None)]:
-        _each(starts[phase], work)
+    for phase in _phases(len(keys)) if phased else [slice(None)]:
+        _each(keys[phase], work)
     if low < n:
         high = n - low
         cols = _BLOCK >> high
         shape = (-1, 1 << high, _BLOCK)
         keys = [(r, slice(None), slice(j, j + cols))
                 for r in range(flat.size >> n) for j in range(0, _BLOCK, cols)]
-        _each(keys, partial(_high_blocks, flat.reshape(shape), _factors(high, dtype, cols),
-                            None if out is None else out.reshape(shape), finish))
+        _each(keys, partial(_blocks, flat.reshape(shape), _BLOCK, _factors(high, dtype, cols),
+                            (), None if out is None else out.reshape(shape), finish))
 
 
 def _phases(blocks: int) -> list:
@@ -308,8 +312,7 @@ def _load(x: np.ndarray, blocks: list) -> None:
     block None: the first one's square), each factor converted to x's
     dtype and multiplied there.  The spectra hold integers, so the
     conversion is exact, and an int64 x multiplies in int64: a float64
-    multiply would round products above 2^53.  Where the first block
-    overlaps x, numpy reads it before writing x."""
+    multiply would round products above 2^53."""
     np.copyto(x, blocks[0], casting="unsafe")
     if len(blocks) > 1:
         other = x if blocks[1] is None else blocks[1]
@@ -321,8 +324,7 @@ def _finish(n: int, above: int | None, values: np.ndarray, scratch: np.ndarray,
     """Write ``values``, each 2^n times a count, to ``dst``: the counts
     into an int64 dst, or whether each count exceeds ``above`` into a
     bool dst, decided as value > 2^n above on the int64 values.  They are
-    converted to int64 in the bytes of ``scratch``, of 8-byte entries,
-    which may be dst's own.
+    converted to int64 in the bytes of ``scratch``, of 8-byte entries.
 
     Each value must be a multiple of 2^n, not negative.  One mask tests
     both, since a negative int64 has its sign bit set, and it tests the
@@ -338,42 +340,28 @@ def _finish(n: int, above: int | None, values: np.ndarray, scratch: np.ndarray,
         np.greater(part, above << n, out=dst)
 
 
-def _low_blocks(flat: np.ndarray, step: int, factors: tuple, load: tuple,
-                out: np.ndarray | None, finish, starts: list) -> None:
-    """The low pass on the blocks of ``step`` entries of ``flat`` that
-    begin at ``starts``, each loaded, transformed against a scratch of
-    its own, and written back or, with ``out``, finished there
-    (``_kronecker``)."""
-    spare = np.empty(step, dtype=flat.dtype)
-    for i in starts:
-        x = flat[i : i + step]
-        s = spare[: x.size]
-        if load:
-            _load(x, [None if v is None else v[i : i + step] for v in load])
-        y = _transform(x, s, factors)
-        if out is not None:
-            finish(y, x if y is s else s, out[i : i + step])
-        elif y is not x:
-            x[...] = y
-
-
-def _high_blocks(x: np.ndarray, factors: tuple, out: np.ndarray | None, finish,
-                 keys: list) -> None:
-    """The high pass on each (2^high, cols) column block x[key]: gathered
-    into one half of a scratch of its own, transformed there against the
-    other half, and written back or, with ``out``, finished into
-    out[key] (``_kronecker``)."""
-    scratch = np.empty(2 * _BLOCK, dtype=x.dtype)
-    gathered, spare = scratch[:_BLOCK], scratch[_BLOCK:]
+def _blocks(x: np.ndarray, size: int, factors: tuple, load: tuple,
+            out: np.ndarray | None, finish, keys: list) -> None:
+    """One pass of ``_kronecker`` on the blocks x[key], of at most ``size``
+    entries each, with a scratch of two halves of its own: each block is
+    loaded into the first half, as the product of the ``load`` vectors'
+    blocks (``_load``) or as a copy of x[key], transformed there against
+    the second, and then finished into out[key] (``_finish``) or written
+    back.  So no load reads bytes that it writes."""
+    scratch = np.empty(2 * size, dtype=x.dtype)
     for key in keys:
         block = x[key]
-        gathered.reshape(block.shape)[...] = block
-        y = _transform(gathered, spare, factors)
-        rows = y.reshape(block.shape)
-        if out is not None:
-            finish(rows, spare if y is gathered else gathered, out[key])
+        held, spare = scratch[: block.size], scratch[block.size : 2 * block.size]
+        if load:
+            _load(held.reshape(block.shape), [None if v is None else v[key] for v in load])
         else:
+            held.reshape(block.shape)[...] = block
+        y = _transform(held, spare, factors)
+        rows = y.reshape(block.shape)
+        if out is None:
             block[...] = rows
+        else:
+            finish(rows, spare if y is held else held, out[key])
 
 
 def _each(parts: list, work) -> None:

@@ -508,6 +508,56 @@ def test_batches_with_a_short_last_block_do_not_depend_on_the_schedule(monkeypat
     assert np.array_equal(walsh.xor_pairs_above(ind_a, thr), np.greater(auto, thr))
 
 
+def test_no_block_load_reads_the_bytes_it_writes(monkeypatch):
+    # the spectrum of A lies in the inverse buffer's bytes, so a block
+    # loaded in place would read its own destination; every block is
+    # loaded into scratch instead.  Four blocks and a column pass
+    # (n = 17), 32 blocks (n = 20), and a batch whose last block is
+    # short, each through the counts, the cross counts and D
+    loads = []
+    load = walsh._load
+
+    def spy(x, blocks):
+        loads.append(any(np.shares_memory(x, b) for b in blocks if b is not None))
+        load(x, blocks)
+
+    monkeypatch.setattr(walsh, "_load", spy)
+    gen = np.random.default_rng(970)
+    for shape in [(1 << 17,), (1 << 20,), (7, 1 << 14)]:
+        ind_a, ind_b = gen.integers(0, 2, size=(2, *shape), dtype=np.uint8)
+        walsh.xor_pair_counts(ind_a)
+        walsh.xor_pair_counts(ind_a, ind_b)
+        walsh.xor_pairs_above(ind_a, shape[-1] >> 3)
+    assert loads and not any(loads), f"{sum(loads)} of {len(loads)} loads alias"
+
+
+def test_transform_scratch_does_not_grow_with_the_dimension(monkeypatch):
+    # beyond its 9 * 2^n bytes of buffers (the float64 inverse and D's
+    # bool bytes), xor_pairs_above holds each thread's scratch, two
+    # halves of at most 2^15 float64 entries once n > 16
+    monkeypatch.setattr(walsh, "_threads", 2)
+    monkeypatch.setattr(walsh, "_pool", None)
+    gen = np.random.default_rng(975)
+    beyond = {}
+    try:
+        for n in (17, 21):
+            ind = gen.integers(0, 2, size=1 << n, dtype=np.uint8)
+            walsh.xor_pairs_above(ind, 1 << (n - 3))  # the pool exists before tracing
+            tracemalloc.start()
+            try:
+                walsh.xor_pairs_above(ind, 1 << (n - 2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond[n] = peak - 9 * (1 << n)
+    finally:
+        if walsh._pool is not None:
+            walsh._pool.shutdown()
+    for n, extra in beyond.items():
+        assert extra <= 2 * (512 << 10) + (128 << 10), (n, beyond)
+    assert abs(beyond[21] - beyond[17]) < 128 << 10, beyond
+
+
 @pytest.mark.parametrize("blocks", [3, 4, 5, 8, 13, 128, 512])
 def test_phases_cover_the_blocks_and_never_overwrite_unread_spectrum(blocks):
     # byte by byte, for whole and short last blocks: no output block of
