@@ -382,9 +382,12 @@ def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
     import pickle
     import signal
 
-    # the cells' bounds need mpmath: imported once here, the workers inherit
-    # it instead of each importing it again
-    import mpmath  # noqa: F401
+    # a bound off the dyadic branch needs mpmath: imported once here when a
+    # cell may take one, the workers inherit it instead of each importing it
+    # again.  A niveau set's density is known only once the set is built
+    if any(0 < c < 1 and (family == "niveau" or construction._dyadic_power(n, alpha, c) is None)
+           for n, alpha, c, family, *_ in cells):
+        import mpmath  # noqa: F401
 
     pipes, running, sent = [], [], []
     tasks, queue = os.pipe()

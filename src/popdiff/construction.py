@@ -608,7 +608,8 @@ def _bound_args(n: int, alpha: Fraction | int, c: Fraction | int) -> tuple[Fract
 
 
 # mpmath takes tens of milliseconds to import, so the three bound functions,
-# its only users, import it when called: commands that take no bound skip it
+# its only users, import it when called and only for a non-dyadic alpha or c:
+# commands and sweeps whose bounds are all dyadic never load it
 def _log_bound(n: int, alpha: Fraction, c: Fraction):
     """Natural log of the unfloored ``theorem_bound`` at the working
     precision, n (1 - log(1/alpha)/log(1/c)) log 2 - 3 log(1/alpha) - log 12,
@@ -620,13 +621,87 @@ def _log_bound(n: int, alpha: Fraction, c: Fraction):
     return n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)
 
 
+def _dyadic_power(n: int, alpha: Fraction, c: Fraction) -> tuple[int, int] | None:
+    """(p, b) with the unfloored ``theorem_bound`` equal to 2^(p/b) / 12
+    when alpha = 2^-a and c = 2^-b: p = n(b - a) - 3ab.  None otherwise."""
+    exponents = []
+    for q in (alpha, c):
+        if q.numerator != 1 or q.denominator & (q.denominator - 1):
+            return None
+        exponents.append(q.denominator.bit_length() - 1)
+    a, b = exponents
+    return n * (b - a) - 3 * a * b, b
+
+
+def _iroot(x: int, b: int) -> int:
+    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method
+    from above, started from the root of x's high half."""
+    if x < 2 or b == 1:
+        return x
+    s = x.bit_length() // (2 * b)
+    # (root of x >> bs, plus 1) << s exceeds the root, by a relative 2^-s or so
+    r = (_iroot(x >> (b * s), b) + 1) << s if s else 1 << -(-x.bit_length() // b)
+    while (y := ((b - 1) * r + x // r ** (b - 1)) // b) < r:
+        r = y
+    return r
+
+
+def _root_over_12(x: int, b: int) -> int:
+    """floor(x^(1/b) / 12) for an integer x >= 0, decided exactly; raises
+    BoundaryAmbiguous when x^(1/b) / 12 lies within 2^-20 of a positive
+    integer m, that is when (12 (2^20 m - 1))^b <= 2^(20b) x <= (12 (2^20 m + 1))^b.
+    The nearest integer is the floor k or k + 1, so only those are tried."""
+    k = _iroot(x, b) // 12
+    scaled = x << (20 * b)
+    for m in (k, k + 1):
+        if m > 0 and (12 * ((m << 20) - 1)) ** b <= scaled <= (12 * ((m << 20) + 1)) ** b:
+            raise BoundaryAmbiguous(
+                f"bound value is within 2^-20 of an integer of {m.bit_length()} bits")
+    return k
+
+
+def _atanh_inverse(k: int, bits: int) -> int:
+    """atanh(1/k) = sum 1/(j k^j) over odd j, in units of 2^-bits, for
+    k >= 3: each of the at most bits/3 + 1 terms is floored, and the
+    terms left out sum to under 2 units, so the result is below the true
+    value by less than bits units once bits >= 6."""
+    total, power, j = 0, (1 << bits) // k, 1
+    while power:
+        total += power // j
+        power //= k * k
+        j += 2
+    return total
+
+
+def _dyadic_digits(p: int, b: int) -> int:
+    """1 + floor(log10(2^(p/b) / 12)), exactly.  The log is
+    ((p - 3b) atanh(1/3) - b atanh(1/5)) / (b (3 atanh(1/3) + atanh(1/9))),
+    from log 2 = 2 atanh(1/3), log 3/2 = 2 atanh(1/5) and
+    log 5/4 = 2 atanh(1/9).  It is bracketed in fixed point, with twice the
+    bits until its floor is decided; it is never an integer, since
+    2^p = 12^b 10^(db) has no solution."""
+    bits = 64 + p.bit_length()
+    while True:
+        t3, t5, t9 = (_atanh_inverse(k, bits) for k in (3, 5, 9))
+        nums = [(p - 3 * b) * x3 - b * x5 for x3 in (t3, t3 + bits) for x5 in (t5, t5 + bits)]
+        dens = (b * (3 * t3 + t9), b * (3 * (t3 + bits) + t9 + bits))
+        floors = {num // den for num in nums for den in dens}
+        if len(floors) == 1:
+            return floors.pop() + 1
+        bits *= 2
+
+
 def _bound_digits(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     """1 + floor(log10) of the unfloored ``theorem_bound``: its digit count
     off by at most one when the bound is at least 1, however large n is
-    (53 + bit_length(n) bits), else at most 1."""
+    (53 + bit_length(n) bits), else at most 1.  Exact for dyadic alpha
+    and c."""
+    alpha, c = _bound_args(n, alpha, c)
+    dyadic = _dyadic_power(n, alpha, c)
+    if dyadic is not None:
+        return _dyadic_digits(*dyadic)
     import mpmath
 
-    alpha, c = _bound_args(n, alpha, c)
     with mpmath.workprec(53 + n.bit_length()):
         return int(mpmath.floor(_log_bound(n, alpha, c) / mpmath.log(10))) + 1
 
@@ -640,32 +715,28 @@ _BOUND_GUARD_BITS = 64
 def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
     """floor(alpha^3 * 2^(n (1 - log(1/alpha)/log(1/c))) / 12).
 
-    When alpha = 2^-a and c = 2^-b with b dividing n(b-a) the exponent is
-    an integer and the value is computed exactly.  Otherwise it is
-    evaluated at a precision sized to the value, about log2(value) +
-    bit_length(n) + 64 bits: the log of the value is off by about
-    n 2^-precision, and the value by that much relative to it.  It is
-    floored only when it sits more than 2^-20 away from an integer;
-    nearer than that to a positive integer raises BoundaryAmbiguous
-    instead of guessing.  The value is positive, so one within 2^-20 of 0
-    floors to 0.
+    When alpha = 2^-a and c = 2^-b the value is 2^(p/b) / 12 with
+    p = n(b - a) - 3ab, decided in integers: the floor of the b-th root of
+    2^p, divided by 12.  Otherwise it is evaluated at a precision sized to
+    the value, about log2(value) + bit_length(n) + 64 bits: the log of the
+    value is off by about n 2^-precision, and the value by that much
+    relative to it.  Either way it is floored only when it sits more than
+    2^-20 away from an integer; nearer than that to a positive integer
+    raises BoundaryAmbiguous instead of guessing.  The value is positive,
+    so one within 2^-20 of 0 floors to 0.
     """
-    import mpmath
-
     alpha, c = _bound_args(n, alpha, c)
-
-    def _dyadic_exp(q: Fraction) -> int | None:
-        # q = 2^-e exactly, e >= 0
-        if q.numerator == 1 and (q.denominator & (q.denominator - 1)) == 0:
-            return q.denominator.bit_length() - 1
-        return None
-
-    a_exp = _dyadic_exp(alpha)
-    b_exp = _dyadic_exp(c)
-    if a_exp is not None and b_exp is not None and (n * (b_exp - a_exp)) % b_exp == 0:
-        e = n * (b_exp - a_exp) // b_exp
-        value = Fraction(2) ** (e - 3 * a_exp) / 12
-        return value.numerator // value.denominator
+    dyadic = _dyadic_power(n, alpha, c)
+    if dyadic is not None:
+        p, b = dyadic
+        if p < 0:
+            return 0  # the value is below 1/12
+        if p % b == 0:
+            # 2^(p/b) / 12 is 1/12, 1/6 or a third of a power of two, so
+            # never within 2^-20 of a positive integer
+            return (1 << (p // b)) // 12
+        return _root_over_12(1 << p, b)
+    import mpmath
 
     # 3322 / 1000 > log2(10), so the integer part fits in the first term
     int_bits = max(0, _bound_digits(n, alpha, c)) * 3322 // 1000 + 1

@@ -41,20 +41,9 @@ _XOR_BLOCK_ROWS = 512  # rows per pairwise-XOR gather in xor_member_counts
 # rows, this was the fastest at n = 16..22 (2-vCPU Xeon, numpy 2.4)
 _PACKED_COL_BITS = 9
 _PACKED_BLOCK_ROWS = 64
-
-
-def _bit_xor_table() -> np.ndarray:
-    """table[s, v] = the byte whose bit b is bit b XOR s of the byte v."""
-    v = np.arange(256)[:, None]
-    b = np.arange(8)
-    table = np.empty((8, 256), dtype=np.uint8)
-    for s in range(8):
-        table[s] = (((v >> (b ^ s)) & 1) << b).sum(axis=1)
-    table.flags.writeable = False
-    return table
-
-
-_BIT_XOR_TABLE = _bit_xor_table()
+# (s, mask) per bit s of t & 7 in translate_packed: the mask byte holds the
+# bits b with b & s = 0, which trade places with bits b + s
+_BIT_SWAPS = ((1, 0x55), (2, 0x33), (4, 0x0F))
 
 _F2SET_HEADER = re.compile(r"^F2SET v1 n=([1-9][0-9]*)$")
 
@@ -268,12 +257,16 @@ def translate_packed(packed: np.ndarray, t: int) -> np.ndarray:
 
     Point i = 8j + b moves to i XOR t = 8(j XOR (t >> 3)) + (b XOR (t & 7)):
     byte j of the output is byte j XOR (t >> 3) of the input with its
-    bits permuted by one lookup in a fixed (8, 256) table.  Viewed as a
-    (2^(m-k), 2^k) matrix of bytes, 2^m bytes in all and k = min(m, 9),
-    the byte index XOR (t >> 3) permutes the rows by (t >> 3) >> k and
-    the columns by its low k bits, so the output is gathered in blocks of
-    64 rows (32 KiB).  For n < 3 a bit from 2^n up stays in that range
-    under XOR t, so the padding bits stay zero.
+    bits permuted by b -> b XOR (t & 7).  Viewed as a (2^(m-k), 2^k)
+    matrix of bytes, 2^m bytes in all and k = min(m, 9), the byte index
+    XOR (t >> 3) permutes the rows by (t >> 3) >> k and the columns by its
+    low k bits, so the output is gathered in blocks of 64 rows (32 KiB).
+    The bit permutation is then one swap of bit groups per set bit of
+    t & 7, each made of masked shifts in place on the output viewed as
+    64-bit words (as bytes below 8 bytes), with one output-sized
+    temporary.
+    For n < 3 a bit from 2^n up stays in that range under XOR t, so the
+    padding bits stay zero.
     """
     hi = t >> 3
     k = min(packed.size.bit_length() - 1, _PACKED_COL_BITS)
@@ -282,10 +275,25 @@ def translate_packed(packed: np.ndarray, t: int) -> np.ndarray:
     dst = out.reshape(src.shape)
     row_idx = np.arange(src.shape[0]) ^ (hi >> k)
     col_idx = np.arange(1 << k) ^ (hi & ((1 << k) - 1))
-    table = _BIT_XOR_TABLE[t & 7]
     for r in range(0, src.shape[0], _PACKED_BLOCK_ROWS):
-        block = src[row_idx[r : r + _PACKED_BLOCK_ROWS]]
-        np.take(table, block[:, col_idx], out=dst[r : r + _PACKED_BLOCK_ROWS])
+        rows = row_idx[r : r + _PACKED_BLOCK_ROWS]
+        # mode "clip" writes straight into out, where "raise" would buffer
+        np.take(src[rows], col_idx, axis=1, out=dst[r : r + _PACKED_BLOCK_ROWS],
+                mode="clip")
+    if t & 7:
+        words, ones = out, 1  # ones: a 1 in each byte of a word
+        if out.size >= 8:
+            words, ones = out.view(np.uint64), 0x0101010101010101
+        low = np.empty_like(words)
+        for shift, mask in _BIT_SWAPS:
+            if t & shift:
+                mask = words.dtype.type(mask * ones)
+                # w = (w AND mask) << shift  OR  (w >> shift) AND mask
+                np.bitwise_and(words, mask, out=low)
+                low <<= shift
+                words >>= shift
+                words &= mask
+                words |= low
     return out
 
 

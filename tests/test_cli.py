@@ -570,11 +570,37 @@ def test_sweep_workers_inherit_mpmath_from_the_parent(tmp_path):
 
         cli._sweep_cell = checked_cell
         assert "mpmath" not in sys.modules
-        sys.exit(cli.main(["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/4",
+        sys.exit(cli.main(["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/3",
                            "--seeds", "2", "--jobs", "2", "--out", sys.argv[1]]))
     """, str(tmp_path / "s.csv"))
     assert result.returncode == 0, result.stderr
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_dyadic_bounds_never_import_mpmath(tmp_path):
+    # every bound of this grid is dyadic, at n = 10 and 14 off the b | p
+    # shortcut, so neither the parent nor a worker loads mpmath
+    result = _run_python("""
+        import os, sys
+        from popdiff import cli, walsh
+        walsh.usable_cpus = lambda: 2  # two workers on any machine
+        cell = cli._sweep_cell
+
+        def checked_cell(*args):
+            row = cell(*args)
+            assert "mpmath" not in sys.modules, f"mpmath loaded in {os.getpid()}"
+            return row
+
+        cli._sweep_cell = checked_cell
+        for jobs in ("1", "2"):
+            assert cli.main(["sweep", "--n", "8,10,14", "--alpha", "1/2,1/4",
+                             "--c", "1/16,1/4,1", "--subspace-cap", "8", "--jobs", jobs,
+                             "--out", sys.argv[1]]) == 0
+        assert cli.main(["bound", "14", "1/2", "1/16"]) == 0
+        assert "mpmath" not in sys.modules, "the parent loaded mpmath"
+    """, str(tmp_path / "s.csv"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "15"
 
 
 def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypatch, capsys):

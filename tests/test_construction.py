@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+import random
 import sys
 import time
 import tracemalloc
@@ -862,7 +863,8 @@ def test_theorem_bound_dyadic_values():
 
 
 def test_theorem_bound_high_precision_path():
-    # 2^(11/3)/12 = 1.058..., floored to 1 (dyadic but fractional exponent)
+    # 2^(11/3)/12 = 1.058..., floored to 1 (dyadic but fractional exponent,
+    # decided on an integer cube root)
     assert theorem_bound(10, Fraction(1, 2), Fraction(1, 8)) == 1
     # 2^(19/3)/12 = 6.71...
     assert theorem_bound(14, Fraction(1, 2), Fraction(1, 8)) == 6
@@ -894,9 +896,10 @@ def test_bound_digits_is_within_one_of_the_digit_count():
         assert abs(construction._bound_digits(n, alpha, c) - digits) <= 1
 
 
-# theorem_bound on its high-precision branch, as computed at a fixed
+# theorem_bound as computed on its high-precision branch at a fixed
 # precision of max(160, 8n) bits; the three 0s at (3, 1/3, 7/8),
-# (13, 1001/4000, 1/2) and (97, 1/3, 1/2) are values within 2^-20 of 0
+# (13, 1001/4000, 1/2) and (97, 1/3, 1/2) are values within 2^-20 of 0.
+# The dyadic rows (13 and 97, 1/2, 1/16) pin the integer root branch to them
 _BOUND_GRID = [
     (1, Fraction(1, 3), Fraction(1, 16), 0),
     (3, Fraction(1, 3), Fraction(7, 8), 0),
@@ -977,6 +980,62 @@ def test_theorem_bound_works_at_a_precision_sized_to_the_value(monkeypatch):
         assert sized + 20 <= precisions[-1] == max(precisions) <= sized + 80
         floor, fraction = _bound_at(n, alpha, c, 4000)
         assert value == floor and 2**-20 < fraction < 1 - 2**-20
+
+
+def test_dyadic_bound_matches_a_4000_bit_evaluation():
+    # alpha = 2^-a, c = 2^-b: the value is 2^(p/b) / 12 with
+    # p = n(b - a) - 3ab, below 2^3400 here, so 4000 bits hold its fraction
+    shortcut = set()
+    for a in range(7):
+        for b in range(1, 9):
+            for n in (1, 2, 3, 5, 8, 13, 31, 64, 97, 255, 1000, 2001, 3401):
+                alpha, c = Fraction(1, 2**a), Fraction(1, 2**b)
+                p = n * (b - a) - 3 * a * b
+                shortcut.add(p >= 0 and p % b == 0)
+                value = theorem_bound(n, alpha, c)
+                floor, fraction = _bound_at(n, alpha, c, 4000)
+                assert value == floor, (n, a, b)
+                if value:
+                    assert 2**-20 < fraction < 1 - 2**-20
+                    # exact: the digit count of a value >= 1 is that of its floor
+                    assert construction._bound_digits(n, alpha, c) == len(str(value))
+    assert shortcut == {True, False}
+
+
+def test_integer_root_is_the_floor_of_the_real_root():
+    rng = random.Random(17)
+    for b in range(1, 9):
+        for bits in (1, 2, 7, 64, 65, 200, 1000, 3001):
+            r = rng.getrandbits(bits) + 1
+            for x in (r**b - 1, r**b, r**b + 1, (r + 1) ** b - 1, rng.getrandbits(bits * b)):
+                root = construction._iroot(x, b)
+                assert root**b <= x < (root + 1) ** b, (x, b)
+    assert construction._iroot(0, 3) == 0 and construction._iroot(1, 5) == 1
+
+
+def test_root_over_12_refuses_only_within_2_to_the_minus_20_of_a_positive_integer():
+    root_over_12 = construction._root_over_12
+    for b in range(1, 9):
+        for m in (1, 7, 12**5 + 1, 3**40):
+            # (12 (2^20 m +- 1))^b / 2^(20b) puts x^(1/b) / 12 at m +- 2^-20
+            # exactly; it is never an integer, so these radicands land just
+            # inside and just outside of the boundary on each side
+            above, below = ((12 * ((m << 20) + sign)) ** b for sign in (1, -1))
+            inside_above = above >> (20 * b)
+            inside_below = -(-below >> (20 * b))
+            for x in (inside_above, inside_below, (12 * m) ** b):
+                with pytest.raises(BoundaryAmbiguous):
+                    root_over_12(x, b)
+            assert root_over_12(inside_above + 1, b) == m
+            assert root_over_12(inside_below - 1, b) == m - 1
+        # (12m)^b + 1 puts the value about 12^-b m^(1-b) / b above m
+        if b == 1:
+            assert root_over_12(12 * 3**40 + 1, b) == 3**40
+        else:
+            with pytest.raises(BoundaryAmbiguous):
+                root_over_12((12 * 3**40) ** b + 1, b)
+    # near 0 no integer counts
+    assert root_over_12(0, 1) == root_over_12(1, 3) == root_over_12(11, 1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from popdiff.f2n import (
     read_set,
     set_sha256,
     sumset,
+    translate_packed,
     write_set,
     xor_member_counts,
 )
@@ -124,6 +125,22 @@ def test_translate_matches_pointwise_xor():
         ts = [rng.below(1 << n) & ~7 | i % 8 for i in range(64)]
         for t in ts + [0, top, top >> 1, top ^ 1, 1 << (n - 1)]:
             assert np.array_equal(a.translate(t).points(), np.sort(pts ^ t))
+
+
+def test_translate_packed_peak_is_about_twice_the_packed_size():
+    # the output and one output-sized temporary for the bit swaps, beside
+    # index arrays and one 64-row gather block; t & 7 = 7 takes all three
+    # swaps.  A lookup table taken on uint8 indices widened them to intp
+    for n in (18, 20):
+        packed = random_set(n, 1 << (n - 1), SplitMix64(n)).packed_bits()
+        t = (1 << n) - 1
+        tracemalloc.start()
+        try:
+            translate_packed(packed, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * packed.nbytes + (1 << 14), (n, peak)
 
 
 def test_packed_bits_are_kept_read_only_and_never_shared():
