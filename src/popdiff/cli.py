@@ -216,10 +216,10 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     limit = construction._int_str_limit()
     digits = construction._bound_digits(args.n, args.alpha, args.c)
-    # the estimate is off by at most one, so a bound refused here is too long
-    # to print, and the exact branch's n-bit powers are never computed
-    if limit and digits > limit + 1:
-        raise ValueError(f"the bound has about {digits} decimal digits, more than the "
+    # the count is exact, so a bound refused here is too long to print, and
+    # its n-bit powers are never computed
+    if limit and digits > limit:
+        raise ValueError(f"the bound has {digits} decimal digits, more than the "
                          f"{limit} that Python converts to text (see sys.set_int_max_str_digits)")
     print(construction.theorem_bound(args.n, args.alpha, args.c))
     return 0
@@ -381,13 +381,6 @@ def _sweep_in_workers(cells: list[tuple], workers: int) -> list[dict]:
     import os
     import pickle
     import signal
-
-    # a bound off the dyadic branch needs mpmath: imported once here when a
-    # cell may take one, the workers inherit it instead of each importing it
-    # again.  A niveau set's density is known only once the set is built
-    if any(0 < c < 1 and (family == "niveau" or construction._dyadic_power(n, alpha, c) is None)
-           for n, alpha, c, family, *_ in cells):
-        import mpmath  # noqa: F401
 
     pipes, running, sent = [], [], []
     tasks, queue = os.pipe()

@@ -607,147 +607,146 @@ def _bound_args(n: int, alpha: Fraction | int, c: Fraction | int) -> tuple[Fract
     return alpha, c
 
 
-# mpmath takes tens of milliseconds to import, so the three bound functions,
-# its only users, import it when called and only for a non-dyadic alpha or c:
-# commands and sweeps whose bounds are all dyadic never load it
-def _log_bound(n: int, alpha: Fraction, c: Fraction):
-    """Natural log of the unfloored ``theorem_bound`` at the working
-    precision, n (1 - log(1/alpha)/log(1/c)) log 2 - 3 log(1/alpha) - log 12,
-    with log1p keeping log(1/alpha) exact near alpha = 1."""
-    import mpmath
-
-    la, lc = (mpmath.log1p(mpmath.mpf(q.denominator - q.numerator) / q.numerator)
-              for q in (alpha, c))
-    return n * (1 - la / lc) * mpmath.log(2) - 3 * la - mpmath.log(12)
-
-
-def _dyadic_power(n: int, alpha: Fraction, c: Fraction) -> tuple[int, int] | None:
-    """(p, b) with the unfloored ``theorem_bound`` equal to 2^(p/b) / 12
-    when alpha = 2^-a and c = 2^-b: p = n(b - a) - 3ab.  None otherwise."""
-    exponents = []
-    for q in (alpha, c):
-        if q.numerator != 1 or q.denominator & (q.denominator - 1):
-            return None
-        exponents.append(q.denominator.bit_length() - 1)
-    a, b = exponents
-    return n * (b - a) - 3 * a * b, b
-
-
 def _iroot(x: int, b: int) -> int:
     """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method
-    from above, started from the root of x's high half."""
+    from above, started from a float root below 2^1000 and from the root
+    of x's high half above it."""
     if x < 2 or b == 1:
         return x
-    s = x.bit_length() // (2 * b)
-    # (root of x >> bs, plus 1) << s exceeds the root, by a relative 2^-s or so
-    r = (_iroot(x >> (b * s), b) + 1) << s if s else 1 << -(-x.bit_length() // b)
+    if x.bit_length() < 1000:
+        r = int(x ** (1 / b))
+        r += (r >> 40) + 2  # the float root is off by a relative 2^-42 or less
+    else:
+        s = x.bit_length() // (2 * b)
+        # (root of x >> bs, plus 1) << s exceeds the root, by a relative 2^-s or so
+        r = (_iroot(x >> (b * s), b) + 1) << s
     while (y := ((b - 1) * r + x // r ** (b - 1)) // b) < r:
         r = y
     return r
 
 
-def _root_over_12(x: int, b: int) -> int:
-    """floor(x^(1/b) / 12) for an integer x >= 0, decided exactly; raises
-    BoundaryAmbiguous when x^(1/b) / 12 lies within 2^-20 of a positive
-    integer m, that is when (12 (2^20 m - 1))^b <= 2^(20b) x <= (12 (2^20 m + 1))^b.
-    The nearest integer is the floor k or k + 1, so only those are tried."""
-    k = _iroot(x, b) // 12
-    scaled = x << (20 * b)
-    for m in (k, k + 1):
-        if m > 0 and (12 * ((m << 20) - 1)) ** b <= scaled <= (12 * ((m << 20) + 1)) ** b:
-            raise BoundaryAmbiguous(
-                f"bound value is within 2^-20 of an integer of {m.bit_length()} bits")
-    return k
-
-
-def _atanh_inverse(k: int, bits: int) -> int:
-    """atanh(1/k) = sum 1/(j k^j) over odd j, in units of 2^-bits, for
-    k >= 3: each of the at most bits/3 + 1 terms is floored, and the
-    terms left out sum to under 2 units, so the result is below the true
-    value by less than bits units once bits >= 6."""
-    total, power, j = 0, (1 << bits) // k, 1
+def _atanh(u: int, v: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= atanh(u/v) 2^bits <= hi for 0 <= u/v <= 1/3: each
+    power is floored from the one before and each term again, so a term
+    lies under 2 units low, as do the terms left once a power is 0."""
+    total, power, j = 0, (u << bits) // v, 1
     while power:
         total += power // j
-        power //= k * k
+        power = power * u * u // (v * v)
         j += 2
-    return total
+    return total, total + j + 1
 
 
-def _dyadic_digits(p: int, b: int) -> int:
-    """1 + floor(log10(2^(p/b) / 12)), exactly.  The log is
-    ((p - 3b) atanh(1/3) - b atanh(1/5)) / (b (3 atanh(1/3) + atanh(1/9))),
-    from log 2 = 2 atanh(1/3), log 3/2 = 2 atanh(1/5) and
-    log 5/4 = 2 atanh(1/9).  It is bracketed in fixed point, with twice the
-    bits until its floor is decided; it is never an integer, since
-    2^p = 12^b 10^(db) has no solution."""
-    bits = 64 + p.bit_length()
-    while True:
-        t3, t5, t9 = (_atanh_inverse(k, bits) for k in (3, 5, 9))
-        nums = [(p - 3 * b) * x3 - b * x5 for x3 in (t3, t3 + bits) for x5 in (t5, t5 + bits)]
-        dens = (b * (3 * t3 + t9), b * (3 * (t3 + bits) + t9 + bits))
-        floors = {num // den for num in nums for den in dens}
-        if len(floors) == 1:
-            return floors.pop() + 1
-        bits *= 2
+def _log2_bound(n: int, alpha: Fraction, c: Fraction, bits: int):
+    """log2 V = n - n ln(1/alpha)/ln(1/c) - (3 ln(1/alpha) + ln 12)/ln 2 for
+    the unfloored ``theorem_bound`` V, and ln 2, as (lo, hi) in units of 2^-bits.
+    ln q = k ln 2 + 2 atanh((q - 2^k)/(q + 2^k)) for 2^k <= q < 2^(k + 1), at
+    more bits as n multiplies their error and ln(1/c) >= 1/denominator(c) divides it."""
+    w = bits + 32 + n.bit_length() + 2 * c.denominator.bit_length()
+    lo2, hi2 = _atanh(1, 3, w)
+    logs = [(2 * lo2, 2 * hi2)]
+    for q in (1 / alpha, 1 / c, Fraction(12)):
+        k = (q.numerator // q.denominator).bit_length() - 1
+        lo, hi = _atanh(q.numerator - (q.denominator << k), q.numerator + (q.denominator << k), w)
+        logs.append((2 * (k * lo2 + lo), 2 * (k * hi2 + hi)))
+    (l0, l1), (a0, a1), (c0, c1), (t0, t1) = logs
+    # each quotient subtracted grows with its numerator and falls with its denominator
+    x = ((n << bits) + (-(n * a1) << bits) // c0 + (-(3 * a1 + t1) << bits) // l0,
+         (n << bits) - (n * a0 << bits) // c1 - ((3 * a0 + t0) << bits) // l1)
+    return x, (l0 >> (w - bits), -(-l1 >> (w - bits)))
+
+
+def _pow2_bracket(n: int, alpha: Fraction, c: Fraction, top: int, bits: int) -> list[int]:
+    """[lo, hi] with lo <= V 2^bits <= hi for the unfloored ``theorem_bound``
+    V < 2^top: 2^floor(x) exp(frac(x) ln 2) for x = log2 V, the series at
+    frac(x) ln 2 / 2^r squared r times.  A term lies under 3 units low, as
+    do the terms left once one is 0; hi gains a unit at each floor."""
+    prec = top + bits
+    x, ln2 = _log2_bound(n, alpha, c, prec)
+    r = math.isqrt(prec)
+    w = prec + r + 16
+    ends = []
+    for side in (0, 1):
+        k, frac = divmod(x[side], 1 << prec)
+        z = (frac * ln2[side] >> prec) + side
+        e = term = 1 << w
+        j = 1
+        while term:
+            term = (term * z >> (prec + r)) // j
+            e += term
+            j += 1
+        e += 3 * j * side
+        for _ in range(r):
+            e = (e * e >> w) + side
+        ends.append((e >> (w - bits - k)) + side)
+    return ends
+
+
+_BOUND_BITS = tuple(64 << i for i in range(9))  # past the last, an undecided bracket is refused
+
+
+def _decide(lo: int, hi: int, bits: int) -> int | None:
+    """floor(V) for a V > 0 with integers lo <= V 2^bits <= hi, bits >= 20;
+    BoundaryAmbiguous when [lo, hi] lies within 2^(bits - 20) of m 2^bits
+    for an integer m > 0; None when the bracket is too wide to tell."""
+    eps = 1 << (bits - 20)
+    m = (lo + eps) >> bits
+    if m > 0 and hi <= (m << bits) + eps:
+        raise BoundaryAmbiguous(
+            f"bound value is within 2^-20 of an integer of {m.bit_length()} bits")
+    k = lo >> bits
+    if (k == 0 or lo > (k << bits) + eps) and hi < ((k + 1) << bits) - eps:
+        return k
+    return None
 
 
 def _bound_digits(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
-    """1 + floor(log10) of the unfloored ``theorem_bound``: its digit count
-    off by at most one when the bound is at least 1, however large n is
-    (53 + bit_length(n) bits), else at most 1.  Exact for dyadic alpha
-    and c."""
+    """1 + floor(log10) of the unfloored ``theorem_bound``, exactly: its
+    digit count when the bound is at least 1, else at most 0.  The log is
+    log2(value) ln 2 / ln 10, never the value itself."""
     alpha, c = _bound_args(n, alpha, c)
-    dyadic = _dyadic_power(n, alpha, c)
-    if dyadic is not None:
-        return _dyadic_digits(*dyadic)
-    import mpmath
-
-    with mpmath.workprec(53 + n.bit_length()):
-        return int(mpmath.floor(_log_bound(n, alpha, c) / mpmath.log(10))) + 1
-
-
-# Working bits of the high-precision ``theorem_bound`` beyond the value's
-# integer part and bit_length(n): 20 for the 2^-20 boundary rule, and 44
-# more so that the rounding error stays far below that boundary
-_BOUND_GUARD_BITS = 64
+    for bits in _BOUND_BITS:
+        x, ln2 = _log2_bound(n, alpha, c, bits)
+        lo, hi = _atanh(1, 9, bits)
+        ln10 = (3 * ln2[0] + 2 * lo, 3 * ln2[1] + 2 * hi)  # ln 10 = 3 ln 2 + ln 5/4
+        floors = {xi * l // (t << bits) for xi in x for l in ln2 for t in ln10}
+        if len(floors) == 1:
+            return floors.pop() + 1
+    raise BoundaryAmbiguous(f"bound value is undecided at {bits} bits beside a power of ten")
 
 
 def theorem_bound(n: int, alpha: Fraction | int, c: Fraction | int) -> int:
-    """floor(alpha^3 * 2^(n (1 - log(1/alpha)/log(1/c))) / 12).
-
-    When alpha = 2^-a and c = 2^-b the value is 2^(p/b) / 12 with
-    p = n(b - a) - 3ab, decided in integers: the floor of the b-th root of
-    2^p, divided by 12.  Otherwise it is evaluated at a precision sized to
-    the value, about log2(value) + bit_length(n) + 64 bits: the log of the
-    value is off by about n 2^-precision, and the value by that much
-    relative to it.  Either way it is floored only when it sits more than
-    2^-20 away from an integer; nearer than that to a positive integer
-    raises BoundaryAmbiguous instead of guessing.  The value is positive,
-    so one within 2^-20 of 0 floors to 0.
-    """
+    """floor(alpha^3 * 2^(n (1 - log(1/alpha)/log(1/c))) / 12), decided in
+    integers by ``_decide`` on brackets of the value V.  When alpha = 2^-a
+    and c = 2^-b, V = 2^(p/b) / 12 with p = n(b - a) - 3ab, and the bracket
+    is the integer b-th root of 2^(p + b bits), over 12; else it is
+    ``_pow2_bracket``.  V is floored only when it sits more than 2^-20 away
+    from an integer; nearer than that to a positive integer raises
+    BoundaryAmbiguous instead of guessing, as does a bracket still across
+    that margin at the last of ``_BOUND_BITS``.  V is positive, so one
+    within 2^-20 of 0 floors to 0."""
     alpha, c = _bound_args(n, alpha, c)
-    dyadic = _dyadic_power(n, alpha, c)
-    if dyadic is not None:
-        p, b = dyadic
+    dyadic = all(q.numerator == 1 and not q.denominator & (q.denominator - 1) for q in (alpha, c))
+    if dyadic:
+        a, b = (q.denominator.bit_length() - 1 for q in (alpha, c))
+        p = n * (b - a) - 3 * a * b
         if p < 0:
             return 0  # the value is below 1/12
         if p % b == 0:
             # 2^(p/b) / 12 is 1/12, 1/6 or a third of a power of two, so
             # never within 2^-20 of a positive integer
             return (1 << (p // b)) // 12
-        return _root_over_12(1 << p, b)
-    import mpmath
-
-    # 3322 / 1000 > log2(10), so the integer part fits in the first term
-    int_bits = max(0, _bound_digits(n, alpha, c)) * 3322 // 1000 + 1
-    with mpmath.workprec(int_bits + n.bit_length() + _BOUND_GUARD_BITS):
-        value = mpmath.exp(_log_bound(n, alpha, c))
-        nearest = mpmath.nint(value)
-        if nearest > 0 and abs(value - nearest) <= mpmath.mpf(2) ** -20:
-            raise BoundaryAmbiguous(
-                f"bound value {value} is within 2^-20 of an integer"
-            )
-        return int(mpmath.floor(value))
+    else:
+        top = max(0, _log2_bound(n, alpha, c, 0)[0][1]) + 1  # above every bracket of log2 V
+    for bits in _BOUND_BITS:
+        if dyadic:
+            lo = _iroot(1 << (p + b * bits), b) // 12
+            hi = lo + 1  # above (root + 1) / 12
+        else:
+            lo, hi = _pow2_bracket(n, alpha, c, top, bits)
+        if (floor := _decide(lo, hi, bits)) is not None:
+            return floor
+    raise BoundaryAmbiguous(f"bound value is undecided at {bits} bits beside a 2^-20 margin")
 
 
 # ---------------------------------------------------------------------------

@@ -366,31 +366,42 @@ def test_bound_values(capsys):
     assert run("bound", "8", "1/2", "2") == 1  # c outside (0, 1)
 
 
+def test_bound_refuses_a_value_within_2_to_the_minus_20_of_an_integer(capsys):
+    # c = alpha^2 makes the value 9 * 2^((n - 16) / 2) exactly
+    for n, m in ((16, 9), (18, 18), (20, 36)):
+        assert run("bound", str(n), "3/4", "9/16") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bound value is within 2^-20 of an integer of {m.bit_length()} bits\n")
+    assert run("bound", "17", "3/4", "9/16") == 0
+    assert capsys.readouterr().out == "12\n"
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this Python converts integers of any length to text")
 def test_bound_refuses_a_value_too_long_to_print_before_computing_it(monkeypatch, capsys):
     limit = sys.get_int_max_str_digits()
-    # computed, these would take the high-precision branch, and the exact
-    # branch on the integer 2^(7.5 * 10^8)
-    def never(*args):
-        raise AssertionError(f"theorem_bound{args} was computed")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(construction, "theorem_bound", never)
-        for argv, digits in ((("100000", "1/3", "1/16"), 18173),
-                             (("1000000000", "1/2", "1/16"), 225772495)):
-            assert run("bound", *argv) == 1
-            err = capsys.readouterr().err
-            assert f"about {digits} decimal digits, more than the {limit}" in err
     # alpha = 1/2, c = 1/16 is exact at n = 4k: floor(2^(3k - 3) / 12).  The
     # largest such bound that still prints is computed and printed in full
     n = max(n for n in range(4, 8 * limit, 4)
             if construction._decimal_digits((1 << (3 * n // 4 - 3)) // 12) <= limit)
     assert run("bound", str(n), "1/2", "1/16") == 0
     assert capsys.readouterr().out == f"{(1 << (3 * n // 4 - 3)) // 12}\n"
-    # one step further the value is computed, and then cannot be printed
-    assert run("bound", str(n + 4), "1/2", "1/16") == 1
-    assert f"({limit} digits)" in capsys.readouterr().err
+
+    def never(*args):
+        raise AssertionError(f"theorem_bound{args} was computed")
+
+    # the digit count is exact, so one step further the bound is refused
+    # unevaluated, as is one that would be the integer 2^(7.5 * 10^8)
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "theorem_bound", never)
+        for argv, digits in (((str(n + 4), "1/2", "1/16"), limit + 1),
+                             (("100000", "1/3", "1/16"), 18173),
+                             (("1000000000", "1/2", "1/16"), 225772495)):
+            assert run("bound", *argv) == 1
+            err = capsys.readouterr().err
+            assert f"the bound has {digits} decimal digits, more than the {limit}" in err
 
 
 def test_maxsub(tmp_path, capsys):
@@ -539,47 +550,10 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_commands_without_a_bound_do_not_import_mpmath(tmp_path):
-    result = _run_python("""
-        import sys
-        import popdiff.cli
-        assert "mpmath" not in sys.modules, "import popdiff.cli loaded mpmath"
-        out = sys.argv[1]
-        assert popdiff.cli.main(["gen", "--n", "8", "--family", "random", "--card", "9",
-                                 "--seed", "1", "--out", out]) == 0
-        assert popdiff.cli.main(["dcset", out, "--c", "1/4"]) == 0
-        assert "mpmath" not in sys.modules, "gen or dcset loaded mpmath"
-        assert popdiff.cli.main(["bound", "12", "1/3", "1/4"]) == 0
-        assert "mpmath" in sys.modules
-    """, str(tmp_path / "A.set"))
-    assert result.returncode == 0, result.stderr
-
-
-def test_sweep_workers_inherit_mpmath_from_the_parent(tmp_path):
-    # imported before the fork, not once per worker on its first bound
-    result = _run_python("""
-        import os, sys
-        from popdiff import cli, walsh
-        walsh.usable_cpus = lambda: 2  # two workers on any machine
-        parent, cell = os.getpid(), cli._sweep_cell
-
-        def checked_cell(*args):
-            assert os.getpid() != parent, "a cell ran in the parent"
-            assert "mpmath" in sys.modules, "a worker started without mpmath"
-            return cell(*args)
-
-        cli._sweep_cell = checked_cell
-        assert "mpmath" not in sys.modules
-        sys.exit(cli.main(["sweep", "--n", "6,8", "--alpha", "1/2", "--c", "1/3",
-                           "--seeds", "2", "--jobs", "2", "--out", sys.argv[1]]))
-    """, str(tmp_path / "s.csv"))
-    assert result.returncode == 0, result.stderr
-    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4
-
-
-def test_dyadic_bounds_never_import_mpmath(tmp_path):
-    # every bound of this grid is dyadic, at n = 10 and 14 off the b | p
-    # shortcut, so neither the parent nor a worker loads mpmath
+def test_no_command_imports_mpmath(tmp_path):
+    # bounds are decided in integers, so neither the parent nor a sweep
+    # worker loads mpmath, whatever alpha and c are.  The random grid has
+    # non-dyadic and dyadic cells, and a niveau set's density is |A| / 2^n
     result = _run_python("""
         import os, sys
         from popdiff import cli, walsh
@@ -588,19 +562,25 @@ def test_dyadic_bounds_never_import_mpmath(tmp_path):
 
         def checked_cell(*args):
             row = cell(*args)
+            assert row["theorem_bound"] != "", args
             assert "mpmath" not in sys.modules, f"mpmath loaded in {os.getpid()}"
             return row
 
         cli._sweep_cell = checked_cell
+        out = sys.argv[1]
+        assert cli.main(["gen", "--n", "8", "--family", "random", "--card", "9",
+                         "--seed", "1", "--out", out]) == 0
+        assert cli.main(["dcset", out, "--c", "1/4"]) == 0
+        assert cli.main(["bound", "12", "1/3", "1/4"]) == 0
         for jobs in ("1", "2"):
-            assert cli.main(["sweep", "--n", "8,10,14", "--alpha", "1/2,1/4",
-                             "--c", "1/16,1/4,1", "--subspace-cap", "8", "--jobs", jobs,
-                             "--out", sys.argv[1]]) == 0
-        assert cli.main(["bound", "14", "1/2", "1/16"]) == 0
+            for grid in (["--n", "8,10", "--alpha", "3/8,1/2", "--c", "1/3,1/16"],
+                         ["--n", "9,10", "--alpha", "1/4", "--c", "1/5,1/16",
+                          "--family", "niveau"]):
+                assert cli.main(["sweep", *grid, "--subspace-cap", "8", "--jobs", jobs,
+                                 "--out", out]) == 0
         assert "mpmath" not in sys.modules, "the parent loaded mpmath"
-    """, str(tmp_path / "s.csv"))
+    """, str(tmp_path / "out"))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "15"
 
 
 def test_sweep_cell_error_is_the_same_under_jobs_one_and_two(tmp_path, monkeypatch, capsys):

@@ -884,7 +884,7 @@ def test_theorem_bound_domain_errors():
             bound(0, Fraction(1, 2), Fraction(1, 4))
 
 
-def test_bound_digits_is_within_one_of_the_digit_count():
+def test_bound_digits_is_the_digit_count():
     for n, alpha, c in ((16, Fraction(1, 2), Fraction(1, 16)),
                         (8000, Fraction(1, 2), Fraction(1, 16)),
                         (3000, Fraction(1, 3), Fraction(1, 16)),
@@ -893,13 +893,14 @@ def test_bound_digits_is_within_one_of_the_digit_count():
                         (40, Fraction(1), Fraction(2, 3))):
         digits = len(str(theorem_bound(n, alpha, c)))
         assert digits > 1
-        assert abs(construction._bound_digits(n, alpha, c) - digits) <= 1
+        assert construction._bound_digits(n, alpha, c) == digits
 
 
-# theorem_bound as computed on its high-precision branch at a fixed
-# precision of max(160, 8n) bits; the three 0s at (3, 1/3, 7/8),
-# (13, 1001/4000, 1/2) and (97, 1/3, 1/2) are values within 2^-20 of 0.
-# The dyadic rows (13 and 97, 1/2, 1/16) pin the integer root branch to them
+# theorem_bound as once evaluated in floating point at a fixed precision
+# of max(160, 8n) bits; the three 0s at (3, 1/3, 7/8), (13, 1001/4000, 1/2)
+# and (97, 1/3, 1/2) are values within 2^-20 of 0.  The dyadic rows (13
+# and 97, 1/2, 1/16) pin the integer root bracket to them, and the rest
+# the atanh and exp brackets
 _BOUND_GRID = [
     (1, Fraction(1, 3), Fraction(1, 16), 0),
     (3, Fraction(1, 3), Fraction(7, 8), 0),
@@ -936,21 +937,45 @@ def test_theorem_bound_keeps_its_values():
     assert theorem_bound(11, Fraction(1, 2**10), Fraction(1, 2**11)) == 0
 
 
-def test_theorem_bound_refuses_only_near_a_positive_integer(monkeypatch):
-    def bound_with_value(value):
-        monkeypatch.setattr(construction, "_log_bound", lambda n, alpha, c: mpmath.log(value))
-        return theorem_bound(40, Fraction(1, 3), Fraction(1, 2))
+def test_decide_refuses_only_near_a_positive_integer():
+    decide = construction._decide
+    for bits in (20, 64, 200):
+        one, margin = 1 << bits, 1 << (bits - 20)
+        for k in (1, 5, 10**6):
+            # brackets of k +- 2^-20, k +- 2^-30 and k alone lie inside k's margin
+            for lo, hi in ((k * one - margin, k * one + margin), (k * one, k * one),
+                           (k * one - (margin >> 10), k * one + (margin >> 10))):
+                with pytest.raises(BoundaryAmbiguous, match=f"integer of {k.bit_length()} bits"):
+                    decide(lo, hi, bits)
+            # just outside the margin on either side the floor is decided
+            assert decide(k * one + margin + 1, k * one + 2 * margin, bits) == k
+            assert decide(k * one - 2 * margin, k * one - margin - 1, bits) == k - 1
+            # a bracket across the margin's edge, or across two floors, is too wide
+            assert decide(k * one + margin, k * one + 2 * margin, bits) is None
+            assert decide(k * one - 2 * margin, k * one - margin, bits) is None
+            assert decide(k * one + 2 * margin, (k + 1) * one + 2 * margin, bits) is None
+        # a positive value within 2^-20 of 0 floors to 0
+        assert decide(1, margin, bits) == 0
+        assert decide(0, one - margin - 1, bits) == 0
 
-    tiny = mpmath.mpf(2) ** -30
-    for k in (1, 5, 10**6):
-        with pytest.raises(BoundaryAmbiguous):
-            bound_with_value(k + tiny)
-        with pytest.raises(BoundaryAmbiguous):
-            bound_with_value(k - tiny)
-        assert bound_with_value(k + mpmath.mpf(2) ** -19) == k
-    # a positive value within 2^-20 of 0 floors to 0
-    assert bound_with_value(tiny) == 0
-    assert bound_with_value(mpmath.mpf(2) ** -20) == 0
+
+def test_theorem_bound_refuses_only_near_a_positive_integer():
+    # c = alpha^2 makes V^2 = alpha^6 2^n / 144 rational, so floor(V) is the
+    # integer square root of floor(V^2), and V is exact when V^2 is a square:
+    # 9 2^((n - 16) / 2) at alpha = 3/4, 9 2^((n - 22) / 2) at 3/8, never at 5/8
+    outcomes = set()
+    for alpha in (Fraction(3, 4), Fraction(3, 8), Fraction(5, 8)):
+        for n in (*range(1, 60), 255, 256, 1000, 1001):
+            square = alpha**6 * 2**n / 144
+            m = math.isqrt(square.numerator)
+            if square.denominator == 1 and m * m == square.numerator:
+                with pytest.raises(BoundaryAmbiguous, match=f"integer of {m.bit_length()} bits"):
+                    theorem_bound(n, alpha, alpha**2)
+                outcomes.add("refused")
+            else:
+                assert theorem_bound(n, alpha, alpha**2) == math.isqrt(math.floor(square)), (n, alpha)
+                outcomes.add("decided")
+    assert outcomes == {"refused", "decided"}
 
 
 def _bound_at(n, alpha, c, prec):
@@ -967,39 +992,70 @@ def _bound_at(n, alpha, c, prec):
 
 def test_theorem_bound_works_at_a_precision_sized_to_the_value(monkeypatch):
     precisions = []
-    workprec = mpmath.workprec
-    monkeypatch.setattr(mpmath, "workprec", lambda prec: precisions.append(prec) or workprec(prec))
+    log2_bound = construction._log2_bound
+
+    def spy(n, alpha, c, bits):
+        precisions.append(bits)
+        return log2_bound(n, alpha, c, bits)
+
+    monkeypatch.setattr(construction, "_log2_bound", spy)
     for n, alpha, c, digits in ((20000, Fraction(1001, 4000), Fraction(1, 4), 2),
                                 (5000, Fraction(1, 3), Fraction(1, 16), 907),
                                 (10**6, Fraction(1001, 4000), Fraction(1, 4), 215)):
         precisions.clear()
         value = theorem_bound(n, alpha, c)
         assert len(str(value)) == digits
-        # room for the 2^-20 boundary rule, and no more than 80 bits beside it
-        sized = value.bit_length() + n.bit_length()
-        assert sized + 20 <= precisions[-1] == max(precisions) <= sized + 80
+        # log2 of the value to the bits of its integer part, then one
+        # bracket with room for the 2^-20 boundary rule, and no more than 80
+        # bits beside it
+        sized = value.bit_length()
+        assert precisions[0] == 0 and len(precisions) == 2
+        assert sized + 20 <= precisions[-1] <= sized + 80
         floor, fraction = _bound_at(n, alpha, c, 4000)
         assert value == floor and 2**-20 < fraction < 1 - 2**-20
 
 
+_4000_BIT_NS = (1, 2, 3, 5, 8, 13, 31, 64, 97, 255, 1000, 2001, 3401)
+
+
+def _check_against_4000_bits(n, alpha, c):
+    # every value is below 2^3401 here, so 4000 bits hold its fraction
+    value = theorem_bound(n, alpha, c)
+    floor, fraction = _bound_at(n, alpha, c, 4000)
+    assert value == floor, (n, alpha, c)
+    if value:
+        assert 2**-20 < fraction < 1 - 2**-20
+        # exact: the digit count of a value >= 1 is that of its floor
+        assert construction._bound_digits(n, alpha, c) == len(str(value))
+    return value
+
+
 def test_dyadic_bound_matches_a_4000_bit_evaluation():
-    # alpha = 2^-a, c = 2^-b: the value is 2^(p/b) / 12 with
-    # p = n(b - a) - 3ab, below 2^3400 here, so 4000 bits hold its fraction
+    # alpha = 2^-a, c = 2^-b: the value is 2^(p/b) / 12 with p = n(b - a) - 3ab
     shortcut = set()
     for a in range(7):
         for b in range(1, 9):
-            for n in (1, 2, 3, 5, 8, 13, 31, 64, 97, 255, 1000, 2001, 3401):
-                alpha, c = Fraction(1, 2**a), Fraction(1, 2**b)
+            for n in _4000_BIT_NS:
                 p = n * (b - a) - 3 * a * b
                 shortcut.add(p >= 0 and p % b == 0)
-                value = theorem_bound(n, alpha, c)
-                floor, fraction = _bound_at(n, alpha, c, 4000)
-                assert value == floor, (n, a, b)
-                if value:
-                    assert 2**-20 < fraction < 1 - 2**-20
-                    # exact: the digit count of a value >= 1 is that of its floor
-                    assert construction._bound_digits(n, alpha, c) == len(str(value))
+                _check_against_4000_bits(n, Fraction(1, 2**a), Fraction(1, 2**b))
     assert shortcut == {True, False}
+
+
+def test_non_dyadic_bound_matches_a_4000_bit_evaluation():
+    # alpha = 1 makes the value 2^n / 12, and alpha = 1/4000 a value that is
+    # 0 until c is small
+    ns = _4000_BIT_NS
+    rng = random.Random(29)
+    cases = [(n, Fraction(1), Fraction(999, 1000)) for n in ns]
+    cases += [(n, Fraction(1, 4000), Fraction(1, d)) for n in ns for d in (3, 5000, 10**6)]
+    for _ in range(200):
+        den = rng.randint(1, 5000)
+        cden = rng.randint(2, 5000)
+        cases.append((rng.choice(ns), Fraction(rng.randint(1, den), den),
+                      Fraction(rng.randint(1, cden - 1), cden)))
+    values = [_check_against_4000_bits(*case) for case in cases]
+    assert sum(v > 1 for v in values) > 50
 
 
 def test_integer_root_is_the_floor_of_the_real_root():
@@ -1013,8 +1069,16 @@ def test_integer_root_is_the_floor_of_the_real_root():
     assert construction._iroot(0, 3) == 0 and construction._iroot(1, 5) == 1
 
 
-def test_root_over_12_refuses_only_within_2_to_the_minus_20_of_a_positive_integer():
-    root_over_12 = construction._root_over_12
+def test_root_brackets_refuse_only_within_2_to_the_minus_20_of_a_positive_integer():
+    def root_over_12(x, b):
+        # floor(x^(1/b) / 12) by _decide on the brackets theorem_bound takes
+        # for 2^(p/b) / 12, with x in place of 2^p
+        for bits in construction._BOUND_BITS:
+            lo = construction._iroot(x << (b * bits), b) // 12
+            if (floor := construction._decide(lo, lo + 1, bits)) is not None:
+                return floor
+        raise AssertionError(f"undecided at {bits} bits")
+
     for b in range(1, 9):
         for m in (1, 7, 12**5 + 1, 3**40):
             # (12 (2^20 m +- 1))^b / 2^(20b) puts x^(1/b) / 12 at m +- 2^-20
